@@ -481,7 +481,7 @@ main(int argc, char **argv)
     sbp.nDpus = 2;
     board::Board sb(sbp);
     host::OffloadParams op;
-    host::BoardScheduler bsched(sb, op, host::ShardRouting::Hash);
+    host::BoardScheduler bsched(sb, op, host::makeHashRouter());
 
     const unsigned n_jobs = smoke ? 16 : 48;
     const double rate = 4000;

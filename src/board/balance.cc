@@ -1,154 +1,11 @@
 #include "board/balance.hh"
 
-#include <algorithm>
-
 #include "board/board.hh"
 #include "dms/handoff.hh"
+#include "dms/handoff_exec.hh"
 #include "sim/logging.hh"
 
 namespace dpu::board {
-
-// ----------------------------------------------------------------
-// LoadTracker
-// ----------------------------------------------------------------
-
-LoadTracker::LoadTracker(unsigned n_partitions)
-    : counts(n_partitions, 0), totals(n_partitions, 0),
-      ewma(n_partitions, 0.0)
-{
-    sim_assert(n_partitions >= 1,
-               "load tracker needs at least one partition");
-}
-
-void
-LoadTracker::record(unsigned partition)
-{
-    sim_assert(partition < counts.size(),
-               "load recorded for unknown partition %u", partition);
-    ++counts[partition];
-    ++totals[partition];
-}
-
-void
-LoadTracker::roll(double alpha)
-{
-    sim_assert(alpha > 0 && alpha <= 1,
-               "EWMA alpha must be in (0, 1], got %f", alpha);
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-        const double cur = double(counts[i]);
-        // Prime with the raw first window so a cold tracker does
-        // not need several windows to see an obvious hot spot.
-        ewma[i] = rolls == 0 ? cur
-                             : alpha * cur + (1.0 - alpha) * ewma[i];
-        counts[i] = 0;
-    }
-    ++rolls;
-}
-
-double
-LoadTracker::load(unsigned partition) const
-{
-    sim_assert(partition < ewma.size(),
-               "load queried for unknown partition %u", partition);
-    return ewma[partition];
-}
-
-std::uint64_t
-LoadTracker::windowLoad(unsigned partition) const
-{
-    sim_assert(partition < counts.size(),
-               "load queried for unknown partition %u", partition);
-    return counts[partition];
-}
-
-std::uint64_t
-LoadTracker::totalLoad(unsigned partition) const
-{
-    sim_assert(partition < totals.size(),
-               "load queried for unknown partition %u", partition);
-    return totals[partition];
-}
-
-// ----------------------------------------------------------------
-// Planner
-// ----------------------------------------------------------------
-
-std::vector<MigrationStep>
-planMigrations(const std::vector<double> &loads,
-               std::vector<unsigned> &home, unsigned n_nodes,
-               const PlannerParams &p,
-               const std::vector<bool> &frozen)
-{
-    sim_assert(loads.size() == home.size(),
-               "partition load/home tables disagree: %zu vs %zu",
-               loads.size(), home.size());
-    std::vector<MigrationStep> plan;
-    if (n_nodes < 2)
-        return plan;
-
-    std::vector<double> node(n_nodes, 0.0);
-    double total = 0;
-    for (std::size_t part = 0; part < home.size(); ++part) {
-        sim_assert(home[part] < n_nodes,
-                   "partition %zu homed off the tier (node %u)",
-                   part, home[part]);
-        node[home[part]] += loads[part];
-        total += loads[part];
-    }
-    const double mean = total / double(n_nodes);
-
-    while (plan.size() < p.maxMigrationsPerWindow) {
-        // Hottest node, lowest index on ties.
-        unsigned src = 0;
-        for (unsigned b = 1; b < n_nodes; ++b)
-            if (node[b] > node[src])
-                src = b;
-        if (node[src] <= p.hotFactor * mean || mean <= 0)
-            break;
-
-        // Coldest node, lowest index on ties.
-        unsigned dst = src == 0 ? 1 : 0;
-        for (unsigned b = 0; b < n_nodes; ++b)
-            if (b != src && node[b] < node[dst])
-                dst = b;
-
-        // Heaviest movable partition on src whose move strictly
-        // improves the pair: the destination must stay below the
-        // source's pre-move load, else the hot spot just relocates
-        // (and the next window would bounce it straight back).
-        int pick = -1;
-        for (std::size_t part = 0; part < home.size(); ++part) {
-            if (home[part] != src)
-                continue;
-            if (part < frozen.size() && frozen[part])
-                continue;
-            if (loads[part] < p.minPartitionLoad)
-                continue;
-            if (node[dst] + loads[part] >= node[src])
-                continue;
-            if (pick < 0 || loads[part] > loads[pick])
-                pick = int(part);
-        }
-        if (pick < 0)
-            break;
-
-        MigrationStep step;
-        step.partition = unsigned(pick);
-        step.from = src;
-        step.to = dst;
-        step.load = loads[pick];
-        plan.push_back(step);
-
-        home[pick] = dst;
-        node[src] -= loads[pick];
-        node[dst] += loads[pick];
-    }
-    return plan;
-}
-
-// ----------------------------------------------------------------
-// BoardBalancer
-// ----------------------------------------------------------------
 
 namespace {
 
@@ -184,16 +41,256 @@ dstRole(std::uint32_t buf_bytes)
 
 } // namespace
 
+// ----------------------------------------------------------------
+// Handoff: the board's balance::Transport
+// ----------------------------------------------------------------
+
+class BoardBalancer::Handoff : public balance::Transport
+{
+  public:
+    /** Per-DPU hand-off engine roles on the engine core. */
+    struct Engines
+    {
+        std::unique_ptr<dms::HandoffExec> exec;     ///< source role
+        std::unique_ptr<dms::HandoffLander> lander; ///< dest role
+        bool srcBusy = false;
+        bool dstBusy = false;
+        bool srcPoisoned = false;
+        bool dstPoisoned = false;
+    };
+
+    std::vector<Engines> engines;
+    std::uint64_t chunkRetries = 0; ///< of retired transfers
+    std::uint64_t stateBytes = 0;   ///< of committed transfers
+
+    Handoff(Board &brd_, const BalanceParams &p_)
+        : brd(brd_), p(p_),
+          engineCore(p_.engineCore == ~0u ? brd_.dpu(0).nCores() - 1
+                                          : p_.engineCore)
+    {
+        sim_assert(engineCore < brd.dpu(0).nCores(),
+                   "engine core %u off the chip", engineCore);
+        engines.resize(brd.nDpus());
+        for (unsigned d = 0; d < brd.nDpus(); ++d) {
+            soc::Soc &chip = brd.dpu(d);
+            const unsigned local =
+                engineCore % chip.params().coresPerComplex;
+            dms::Dms &dms = chip.dmsFor(engineCore);
+            mem::Dmem &dmem = chip.core(engineCore).dmem();
+            engines[d].exec = std::make_unique<dms::HandoffExec>(
+                dms, local, dmem, srcRole(p.stagingBufBytes));
+            engines[d].lander = std::make_unique<dms::HandoffLander>(
+                dms, local, dmem, dstRole(p.stagingBufBytes));
+        }
+    }
+
+    mem::Addr
+    stateAddr(unsigned part) const
+    {
+        return p.stateBase +
+               mem::Addr(part) * p.stateBytesPerPartition;
+    }
+
+    std::uint64_t
+    staleDeliveries() const
+    {
+        std::uint64_t stale = 0;
+        for (const Engines &e : engines)
+            stale += e.lander->staleDeliveries();
+        return stale;
+    }
+
+    /** The board's eligibility rule: both engine roles idle and
+     *  unpoisoned, and neither engine DMAC hung (a wedged DMAC
+     *  cannot run a hand-off). */
+    bool
+    canRun(const balance::MigrationStep &s) const
+    {
+        const Engines &se = engines[s.from];
+        const Engines &de = engines[s.to];
+        return !se.srcBusy && !se.srcPoisoned && !de.dstBusy &&
+               !de.dstPoisoned &&
+               !brd.dpu(s.from).dmsFor(engineCore).dmac().hung() &&
+               !brd.dpu(s.to).dmsFor(engineCore).dmac().hung();
+    }
+
+    bool
+    launch(balance::Migration &m, sim::Tick now) override
+    {
+        auto owned = std::make_unique<Transfer>();
+        Transfer &t = *owned;
+        t.from = m.step.from;
+        t.to = m.step.to;
+        t.plan = dms::planRangeHandoff(stateAddr(m.step.partition),
+                                       p.stateBytesPerPartition,
+                                       p.stagingBufBytes, 8);
+        t.chunks = unsigned(t.plan.chunks.size());
+        t.gen = engines[t.to].lander->expect(t.chunks);
+        engines[t.from].srcBusy = true;
+        engines[t.to].dstBusy = true;
+
+        // Execution starts inside the kernel, on the source
+        // partition.
+        brd.eventQueue(t.from).schedule(
+            now,
+            [this, tp = &t] {
+                engines[tp->from].exec->start(
+                    tp->plan, [this, tp](unsigned chunk, bool error) {
+                        onChunkStaged(*tp, chunk, error);
+                    });
+            },
+            sim::EvTag::Link);
+        m.transfer = transfers.size();
+        transfers.push_back(std::move(owned));
+        return true;
+    }
+
+    Status
+    poll(const balance::Migration &m, sim::Tick) override
+    {
+        const Transfer &t = *transfers[m.transfer];
+        const dms::HandoffLander &lander = *engines[t.to].lander;
+        if (!t.srcFailed && lander.landed() == t.chunks)
+            return Status::Landed; // every chunk is in the dest DDR
+        // Retransmits exhausted (or a descError poisoned the
+        // staging chain): abort once both engines have drained.
+        if (t.srcFailed && !engines[t.from].exec->active() &&
+            !lander.busy())
+            return Status::Failed;
+        return Status::Moving;
+    }
+
+    void
+    retire(const balance::Migration &m, balance::Outcome how) override
+    {
+        const Transfer &t = *transfers[m.transfer];
+        Engines &se = engines[t.from];
+        Engines &de = engines[t.to];
+        chunkRetries += t.srcRetries;
+        if (how == balance::Outcome::Committed)
+            stateBytes += t.plan.totalBytes();
+        else
+            de.lander->cancel();
+        if (how == balance::Outcome::TimedOut) {
+            // The staging chain (or the landing slot) is stuck for
+            // good: poison both roles so no later plan touches them.
+            se.srcPoisoned = true;
+            de.dstPoisoned = true;
+            return;
+        }
+        se.srcBusy = false;
+        de.dstBusy = false;
+    }
+
+    bool
+    forward(const balance::Migration &m, std::uint64_t bytes,
+            sim::Tick) override
+    {
+        // Host-phase send: deterministic, and the delivery tick is
+        // at least one hop into the next segment.
+        bool dropped = false;
+        const sim::Tick at = brd.fabric().startBulk(
+            m.step.from, m.step.to, bytes, dropped,
+            LinkTraffic::Migration);
+        if (!dropped)
+            brd.fabric().postDelivery(m.step.from, m.step.to, at,
+                                      [] {});
+        return !dropped;
+    }
+
+  private:
+    /** One hand-off. The source partition's thread writes srcFailed
+     *  and srcRetries; the ledger reads them host-phase (the
+     *  boundary's barrier orders the two). */
+    struct Transfer
+    {
+        unsigned from = 0;
+        unsigned to = 0;
+        unsigned gen = 0; ///< lander generation token
+        dms::HandoffPlan plan;
+        unsigned chunks = 0;
+        bool srcFailed = false;
+        unsigned srcRetries = 0;
+    };
+
+    void
+    onChunkStaged(Transfer &t, unsigned chunk, bool error)
+    {
+        dms::HandoffExec &exec = *engines[t.from].exec;
+        if (error) {
+            // dms.descError: the buffer is garbage. Keep draining
+            // the chain (every chunk must be released) but ship
+            // nothing more; the migration aborts once the engines
+            // empty.
+            t.srcFailed = true;
+            exec.release(chunk);
+            return;
+        }
+        // Snapshot the staged bytes before releasing the buffer to
+        // the chain (the next descriptor overwrites it).
+        const dms::HandoffChunk &hc = t.plan.chunks[chunk];
+        auto payload = std::make_shared<std::vector<std::uint8_t>>(
+            hc.bytes());
+        const dms::HandoffExecParams &role = exec.params();
+        brd.dpu(t.from).core(engineCore).dmem().read(
+            role.bufBase + (chunk & 1) * role.bufBytes,
+            payload->data(), payload->size());
+        exec.release(chunk);
+        ship(t, chunk, std::move(payload),
+             1 + brd.params().dmaRetries);
+    }
+
+    void
+    ship(Transfer &t, unsigned chunk,
+         std::shared_ptr<std::vector<std::uint8_t>> payload,
+         unsigned attempts)
+    {
+        if (t.srcFailed)
+            return; // a sibling chunk exhausted its retries; give up
+        bool dropped = false;
+        const sim::Tick at = brd.fabric().startBulk(
+            t.from, t.to, payload->size(), dropped,
+            LinkTraffic::Migration);
+        if (!dropped) {
+            const mem::Addr ddr = t.plan.chunks[chunk].ddrAddr;
+            const std::uint8_t width = t.plan.chunks[chunk].colWidth;
+            brd.fabric().postDelivery(
+                t.from, t.to, at,
+                [this, tp = &t, chunk, ddr, width,
+                 payload = std::move(payload)] {
+                    engines[tp->to].lander->deliver(
+                        tp->gen, chunk, ddr, *payload, width);
+                });
+            return;
+        }
+        ++t.srcRetries;
+        if (attempts <= 1) {
+            t.srcFailed = true; // retransmit budget exhausted
+            return;
+        }
+        // Retransmit from the snapshot once the wire time is burned.
+        brd.eventQueue(t.from).schedule(
+            at,
+            [this, tp = &t, chunk, payload = std::move(payload),
+             attempts] { ship(*tp, chunk, payload, attempts - 1); },
+            sim::EvTag::Link);
+    }
+
+    Board &brd;
+    const BalanceParams &p;
+    unsigned engineCore;
+    /** Owning store; stable addresses (events capture Transfer&). */
+    std::vector<std::unique_ptr<Transfer>> transfers;
+};
+
+// ----------------------------------------------------------------
+// BoardBalancer
+// ----------------------------------------------------------------
+
 BoardBalancer::BoardBalancer(Board &brd_,
                              std::vector<unsigned> initial_home,
                              const BalanceParams &params)
-    : brd(brd_), p(params),
-      engineCore(params.engineCore == ~0u
-                     ? brd_.dpu(0).nCores() - 1
-                     : params.engineCore),
-      track(unsigned(initial_home.size())),
-      home(std::move(initial_home)),
-      frozen(home.size(), false), inflight(home.size(), nullptr),
+    : brd(brd_), p(params), home(std::move(initial_home)),
       stats("board.balance")
 {
     sim_assert(p.window > 0, "balancer built with window = 0");
@@ -204,21 +301,26 @@ BoardBalancer::BoardBalancer(Board &brd_,
                "of the column width");
     sim_assert(p.stagingBufBytes > 0 && p.stagingBufBytes <= 2048,
                "staging buffer must be 1..2048 bytes");
-    sim_assert(engineCore < brd.dpu(0).nCores(),
-               "engine core %u off the chip", engineCore);
 
-    engines.resize(brd.nDpus());
-    for (unsigned d = 0; d < brd.nDpus(); ++d) {
-        soc::Soc &chip = brd.dpu(d);
-        const unsigned local =
-            engineCore % chip.params().coresPerComplex;
-        dms::Dms &dms = chip.dmsFor(engineCore);
-        mem::Dmem &dmem = chip.core(engineCore).dmem();
-        engines[d].exec = std::make_unique<dms::HandoffExec>(
-            dms, local, dmem, srcRole(p.stagingBufBytes));
-        engines[d].lander = std::make_unique<dms::HandoffLander>(
-            dms, local, dmem, dstRole(p.stagingBufBytes));
-    }
+    handoff = std::make_unique<Handoff>(brd, p);
+    balance::Rules rules;
+    rules.homeOf = [this](unsigned part) { return home[part]; };
+    rules.eligible = [this](const balance::MigrationStep &s) {
+        return handoff->canRun(s);
+    };
+    rules.commit = [this](const balance::Migration &m) {
+        // The router observes the old home while the hook runs,
+        // then the single partition flips.
+        const balance::MigrationStep &s = m.step;
+        if (commitHook)
+            commitHook(s.partition, s.from, s.to);
+        home[s.partition] = s.to;
+    };
+    rules.timeout = p.migrationTimeout;
+    rules.deltaBytes = p.deltaBytesPerRequest;
+    led = std::make_unique<balance::MigrationLedger>(
+        p, unsigned(home.size()), brd.nDpus(), *handoff,
+        std::move(rules));
 
     for (unsigned part = 0; part < home.size(); ++part) {
         sim_assert(home[part] < brd.nDpus(),
@@ -237,12 +339,6 @@ BoardBalancer::statePattern(unsigned part, std::uint64_t i)
     return std::uint8_t(0x5A ^ (part * 131) ^ (i * 0x9E) ^ (i >> 8));
 }
 
-mem::Addr
-BoardBalancer::stateAddr(unsigned part) const
-{
-    return p.stateBase + mem::Addr(part) * p.stateBytesPerPartition;
-}
-
 unsigned
 BoardBalancer::homeOf(unsigned part) const
 {
@@ -256,8 +352,8 @@ BoardBalancer::seedState(unsigned part, unsigned dpu)
     std::vector<std::uint8_t> img(p.stateBytesPerPartition);
     for (std::uint64_t i = 0; i < img.size(); ++i)
         img[i] = statePattern(part, i);
-    brd.dpu(dpu).memory().store().write(stateAddr(part), img.data(),
-                                        img.size());
+    brd.dpu(dpu).memory().store().write(handoff->stateAddr(part),
+                                        img.data(), img.size());
 }
 
 std::vector<std::uint8_t>
@@ -269,276 +365,55 @@ BoardBalancer::stateImage(unsigned part) const
         .dpu(home[part])
         .memory()
         .store()
-        .read(stateAddr(part), img.data(), img.size());
+        .read(handoff->stateAddr(part), img.data(), img.size());
     return img;
 }
 
 bool
 BoardBalancer::srcPoisoned(unsigned dpu) const
 {
-    return engines[dpu].srcPoisoned;
+    return handoff->engines[dpu].srcPoisoned;
 }
 
-bool
-BoardBalancer::dstPoisoned(unsigned dpu) const
+BoardBalancer::Report
+BoardBalancer::report() const
 {
-    return engines[dpu].dstPoisoned;
-}
-
-bool
-BoardBalancer::migrationsActive() const
-{
-    for (const auto &m : migrations)
-        if (m->state == MigState::Active)
-            return true;
-    return false;
-}
-
-void
-BoardBalancer::record(unsigned part)
-{
-    track.record(part);
-    Migration *m = inflight[part];
-    if (!m)
-        return;
-    // Forwarding epoch: the request lands at the old home (the map
-    // has not flipped); ship its delta to the new home so the moved
-    // state stays current. Host-phase send — deterministic, and the
-    // delivery tick is at least one hop into the next segment.
-    ++rep.forwarded;
-    rep.deltaBytes += p.deltaBytesPerRequest;
-    bool dropped = false;
-    const sim::Tick at = brd.fabric().startBulk(
-        m->from, m->to, p.deltaBytesPerRequest, dropped,
-        LinkTraffic::Migration);
-    if (dropped) {
-        ++rep.deltaDropped; // deltas are best-effort, like PR-8
-        return;
-    }
-    brd.fabric().postDelivery(m->from, m->to, at, [] {});
-}
-
-void
-BoardBalancer::launch(const MigrationStep &step, sim::Tick boundary)
-{
-    auto owned = std::make_unique<Migration>();
-    Migration &m = *owned;
-    m.part = step.partition;
-    m.from = step.from;
-    m.to = step.to;
-    m.launchedAt = boundary;
-    m.plan = dms::planRangeHandoff(stateAddr(m.part),
-                                   p.stateBytesPerPartition,
-                                   p.stagingBufBytes, 8);
-    m.chunks = unsigned(m.plan.chunks.size());
-    m.gen = engines[m.to].lander->expect(m.chunks);
-
-    frozen[m.part] = true;
-    inflight[m.part] = &m;
-    engines[m.from].srcBusy = true;
-    engines[m.to].dstBusy = true;
-    ++rep.planned;
-
-    // Execution starts inside the kernel, on the source partition.
-    brd.eventQueue(m.from).schedule(
-        boundary, [this, mp = &m] { srcStart(*mp); },
-        sim::EvTag::Link);
-    migrations.push_back(std::move(owned));
-}
-
-void
-BoardBalancer::srcStart(Migration &m)
-{
-    engines[m.from].exec->start(
-        m.plan, [this, mp = &m](unsigned chunk, bool error) {
-            onChunkStaged(*mp, chunk, error);
-        });
-}
-
-void
-BoardBalancer::onChunkStaged(Migration &m, unsigned chunk,
-                             bool error)
-{
-    dms::HandoffExec &exec = *engines[m.from].exec;
-    if (error) {
-        // dms.descError: the buffer is garbage. Keep draining the
-        // chain (every chunk must be released) but ship nothing
-        // more; the migration aborts once the engines empty.
-        m.srcFailed = true;
-        exec.release(chunk);
-        return;
-    }
-    // Snapshot the staged bytes before releasing the buffer to the
-    // chain (the next descriptor overwrites it).
-    const dms::HandoffChunk &hc = m.plan.chunks[chunk];
-    auto payload = std::make_shared<std::vector<std::uint8_t>>(
-        hc.bytes());
-    const dms::HandoffExecParams &role = exec.params();
-    brd.dpu(m.from).core(engineCore).dmem().read(
-        role.bufBase + (chunk & 1) * role.bufBytes, payload->data(),
-        payload->size());
-    exec.release(chunk);
-    ship(m, chunk, std::move(payload),
-         1 + brd.params().dmaRetries);
-}
-
-void
-BoardBalancer::ship(Migration &m, unsigned chunk,
-                    std::shared_ptr<std::vector<std::uint8_t>>
-                        payload,
-                    unsigned attempts)
-{
-    if (m.srcFailed)
-        return; // a sibling chunk exhausted its retries; give up
-    bool dropped = false;
-    const sim::Tick at = brd.fabric().startBulk(
-        m.from, m.to, payload->size(), dropped,
-        LinkTraffic::Migration);
-    if (!dropped) {
-        const mem::Addr ddr = m.plan.chunks[chunk].ddrAddr;
-        const std::uint8_t width = m.plan.chunks[chunk].colWidth;
-        brd.fabric().postDelivery(
-            m.from, m.to, at,
-            [this, mp = &m, chunk, ddr, width,
-             payload = std::move(payload)] {
-                engines[mp->to].lander->deliver(mp->gen, chunk, ddr,
-                                                *payload, width);
-            });
-        return;
-    }
-    ++m.srcRetries;
-    if (attempts <= 1) {
-        m.srcFailed = true; // retransmit budget exhausted
-        return;
-    }
-    // Retransmit from the snapshot once the wire time is burned.
-    brd.eventQueue(m.from).schedule(
-        at,
-        [this, mp = &m, chunk, payload = std::move(payload),
-         attempts] { ship(*mp, chunk, payload, attempts - 1); },
-        sim::EvTag::Link);
-}
-
-void
-BoardBalancer::harvest(sim::Tick boundary)
-{
-    std::uint64_t stale = 0;
-    for (const Engines &e : engines)
-        stale += e.lander->staleDeliveries();
-    rep.staleDeliveries = stale;
-
-    for (auto &owned : migrations) {
-        Migration &m = *owned;
-        if (m.state != MigState::Active)
-            continue;
-        Engines &se = engines[m.from];
-        Engines &de = engines[m.to];
-        dms::HandoffLander &lander = *de.lander;
-
-        if (!m.srcFailed && lander.landed() == m.chunks) {
-            // Commit: every chunk landed in the destination DDR.
-            // Flip the single partition AFTER the hook (the router
-            // observes the old home while it runs, mirroring the
-            // PR-8 drain-then-switch order).
-            if (commitHook)
-                commitHook(m.part, m.from, m.to);
-            home[m.part] = m.to;
-            frozen[m.part] = false;
-            inflight[m.part] = nullptr;
-            se.srcBusy = false;
-            de.dstBusy = false;
-            m.state = MigState::Committed;
-            ++rep.committed;
-            rep.chunkRetries += m.srcRetries;
-            rep.stateBytes += m.plan.totalBytes();
-            continue;
-        }
-
-        if (boundary >= m.launchedAt + p.migrationTimeout) {
-            // A wedged DMAC never completes its descriptor: the
-            // staging chain (or the landing slot) is stuck for
-            // good. Poison the involved engine roles so no later
-            // plan touches them; the partition stays home.
-            lander.cancel();
-            se.srcPoisoned = true;
-            de.dstPoisoned = true;
-            frozen[m.part] = false;
-            inflight[m.part] = nullptr;
-            m.state = MigState::Aborted;
-            ++rep.aborted;
-            ++rep.timeoutAborts;
-            rep.chunkRetries += m.srcRetries;
-            continue;
-        }
-
-        if (m.srcFailed && !se.exec->active() && !lander.busy()) {
-            // Clean abort: retransmits exhausted (or a descError
-            // poisoned the staging chain) and both engines have
-            // drained. The partition stays home; the planner may
-            // retry it next window.
-            lander.cancel();
-            frozen[m.part] = false;
-            inflight[m.part] = nullptr;
-            se.srcBusy = false;
-            de.dstBusy = false;
-            m.state = MigState::Aborted;
-            ++rep.aborted;
-            rep.chunkRetries += m.srcRetries;
-            continue;
-        }
-    }
-}
-
-void
-BoardBalancer::onWindowBoundary(sim::Tick boundary)
-{
-    harvest(boundary);
-    track.roll(p.ewmaAlpha);
-    if (draining)
-        return;
-
-    // Plan on a scratch copy: the live map only flips at commit.
-    std::vector<unsigned> scratch = home;
-    const std::vector<MigrationStep> steps = planMigrations(
-        track.loads(), scratch, brd.nDpus(), p.planner(), frozen);
-    for (const MigrationStep &s : steps) {
-        Engines &se = engines[s.from];
-        Engines &de = engines[s.to];
-        if (se.srcBusy || se.srcPoisoned || de.dstBusy ||
-            de.dstPoisoned)
-            continue; // engine role occupied; retry next window
-        if (brd.dpu(s.from).dmsFor(engineCore).dmac().hung() ||
-            brd.dpu(s.to).dmsFor(engineCore).dmac().hung())
-            continue; // wedged DMAC cannot run a hand-off
-        launch(s, boundary);
-    }
+    const balance::MigrationLedger::Counters &c = led->counters();
+    const balance::MigrationLedger::Forwarding &f = led->forwarding();
+    return {.planned = c.started,
+            .committed = c.committed,
+            .aborted = c.aborted,
+            .timeoutAborts = c.timedOut,
+            .chunkRetries = handoff->chunkRetries,
+            .forwarded = f.requests,
+            .deltaBytes = f.bytes,
+            .deltaDropped = f.dropped,
+            .stateBytes = handoff->stateBytes,
+            .staleDeliveries = handoff->staleDeliveries()};
 }
 
 void
 BoardBalancer::foldStats()
 {
-    std::uint64_t stale = 0;
-    for (const Engines &e : engines)
-        stale += e.lander->staleDeliveries();
-    rep.staleDeliveries = stale;
+    const Report rep = report();
     if (rep.planned) {
         stats.counter("planned") = rep.planned;
         stats.counter("committed") = rep.committed;
         stats.counter("aborted") = rep.aborted;
         stats.counter("stateBytes") = rep.stateBytes;
     }
-    if (rep.timeoutAborts)
-        stats.counter("timeoutAborts") = rep.timeoutAborts;
-    if (rep.chunkRetries)
-        stats.counter("chunkRetries") = rep.chunkRetries;
     if (rep.forwarded) {
         stats.counter("forwarded") = rep.forwarded;
         stats.counter("deltaBytes") = rep.deltaBytes;
     }
-    if (rep.deltaDropped)
-        stats.counter("deltaDropped") = rep.deltaDropped;
-    if (rep.staleDeliveries)
-        stats.counter("staleDeliveries") = rep.staleDeliveries;
+    auto put = [this](const char *name, std::uint64_t v) {
+        if (v)
+            stats.counter(name) = v;
+    };
+    put("timeoutAborts", rep.timeoutAborts);
+    put("chunkRetries", rep.chunkRetries);
+    put("deltaDropped", rep.deltaDropped);
+    put("staleDeliveries", rep.staleDeliveries);
 }
 
 } // namespace dpu::board

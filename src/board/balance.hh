@@ -1,45 +1,18 @@
 /**
  * @file
- * Intra-board live re-sharding: hot-DPU detection, migration
- * planning, and execution of partition hand-offs over the real DMS
- * descriptor + link-fabric path.
+ * Intra-board live re-sharding: partition hand-offs between the DPUs
+ * of one board over the real DMS descriptor + link-fabric path.
  *
- * PR 8 gave the rack a feedback loop between boards; below the board
- * boundary, shards stayed frozen at construction. This module closes
- * that tier with the same architecture — windowed EWMA load
- * tracking, a deterministic greedy planner, and the drain-then-
- * switch protocol — but where the rack charges a flat state
- * transfer, the board EXECUTES it the way the paper says data should
- * move: the source DPU stages the partition's DDR-resident range
- * into DMEM with a real DdrToDmem descriptor chain (dms::HandoffExec
- * driving dms::planRangeHandoff plans), each staged chunk ships as
- * bulk DMA over the LinkFabric (snapshot-at-issue, bounded
- * retransmit, Migration traffic class so workload accounting stays
- * clean), and the destination lands it through DmemToDdr descriptors
- * (dms::HandoffLander).
- *
- * The split between planning and execution is what keeps parallel
- * runs bit-identical (DESIGN.md §17):
- *
- *  - planning, the routing flip, and migration harvesting happen in
- *    the HOST PHASE, at window boundaries, when every partition
- *    clock is parked on the same tick;
- *  - execution happens IN THE KERNEL: the staging chain runs as DMS
- *    completion events on the source partition, chunk deliveries
- *    ride the fabric's epoch mailboxes (delivery ticks at least one
- *    hop beyond the issuing epoch), and landing descriptors run on
- *    the destination partition. No cross-partition state is touched
- *    outside those paths.
- *
- * Failure handling mirrors the rack tier: a chunk dropped by
- * link.drop is retransmitted a bounded number of times from the
- * snapshot; an exhausted or error-completed migration aborts cleanly
- * once its engines drain (the partition stays home, the planner may
- * retry next window); a migration that cannot drain — a wedged DMAC
- * never completes its descriptor — times out at a window boundary
- * and permanently poisons the affected engine roles so no later plan
- * touches them. Deltas absorbed during the forwarding epoch ship to
- * the new home as they arrive, exactly like PR 8.
+ * The shared migration ledger (balance/ledger.hh) tracks load,
+ * plans and runs drain-then-switch at window boundaries, in the host
+ * phase. This module supplies the board's transport, eligibility
+ * rule and commit action (DESIGN.md §15, §17). The transport runs in
+ * the kernel: a DdrToDmem descriptor chain (dms::HandoffExec) stages
+ * the partition's DDR range on the source, each chunk ships as
+ * Migration-class bulk DMA over the LinkFabric with bounded
+ * retransmit, and DmemToDdr descriptors (dms::HandoffLander) land it
+ * on the destination. A wedged DMAC never drains: its migration
+ * times out and poisons the engine roles for good.
  */
 
 #ifndef DPU_BOARD_BALANCE_HH
@@ -50,7 +23,7 @@
 #include <memory>
 #include <vector>
 
-#include "dms/handoff_exec.hh"
+#include "balance/ledger.hh"
 #include "mem/addr.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -59,97 +32,10 @@ namespace dpu::board {
 
 class Board;
 
-/** Knobs of the deterministic hot-shard planner (shared with the
- *  rack tier, which wraps it — see rack/balance.hh). */
-struct PlannerParams
+/** Board-balancer knobs: the shared policy plus the hand-off
+ *  layout. Defaults leave it OFF (window = 0). */
+struct BalanceParams : balance::Policy
 {
-    /** A DPU is hot above hotFactor x mean DPU load (>= 1). */
-    double hotFactor = 1.5;
-    /** Migration budget per window boundary. */
-    unsigned maxMigrationsPerWindow = 1;
-    /** Partitions below this EWMA load never migrate (not worth
-     *  the state transfer). */
-    double minPartitionLoad = 4.0;
-};
-
-/** Windowed per-partition load: current-window counts + EWMA. */
-class LoadTracker
-{
-  public:
-    explicit LoadTracker(unsigned n_partitions);
-
-    unsigned size() const { return unsigned(counts.size()); }
-
-    /** Count one request aimed at @p partition. */
-    void record(unsigned partition);
-
-    /** Close the window: fold counts into the EWMAs and reset.
-     *  The first roll primes each EWMA with its raw count. */
-    void roll(double alpha);
-
-    /** Smoothed (EWMA) load of @p partition. */
-    double load(unsigned partition) const;
-    /** Requests seen for @p partition in the open window. */
-    std::uint64_t windowLoad(unsigned partition) const;
-    /** All smoothed loads, indexed by partition. */
-    const std::vector<double> &loads() const { return ewma; }
-    /** Lifetime requests recorded against @p partition. */
-    std::uint64_t totalLoad(unsigned partition) const;
-    unsigned rollsDone() const { return rolls; }
-
-  private:
-    std::vector<std::uint64_t> counts; ///< open window
-    std::vector<std::uint64_t> totals; ///< lifetime
-    std::vector<double> ewma;
-    unsigned rolls = 0;
-};
-
-/** One planned partition move. */
-struct MigrationStep
-{
-    unsigned partition = 0;
-    unsigned from = 0;
-    unsigned to = 0;
-    /** The partition's smoothed load at planning time. */
-    double load = 0;
-};
-
-/**
- * Plan up to maxMigrationsPerWindow moves off hot nodes.
- *
- * @p loads   per-partition EWMA loads (LoadTracker::loads()).
- * @p home    partition -> owning node, updated in place as steps
- *            are planned (so one call never plans two moves of the
- *            same partition).
- * @p n_nodes node (DPU or board) count.
- * @p frozen  partitions that may not move (in-flight migrations);
- *            indexed by partition, may be empty.
- *
- * Deterministic: identical inputs give identical plans. Every
- * choice breaks ties by lowest index, and a move requires strict
- * improvement (the destination, with the partition added, must stay
- * below the source's current load) so planning cannot oscillate.
- */
-std::vector<MigrationStep>
-planMigrations(const std::vector<double> &loads,
-               std::vector<unsigned> &home, unsigned n_nodes,
-               const PlannerParams &p,
-               const std::vector<bool> &frozen = {});
-
-/** Board-balancer knobs. Defaults leave it OFF (window = 0) so
- *  existing topologies and goldens are untouched. */
-struct BalanceParams
-{
-    /** Observation-window length in ticks; 0 disables balancing. */
-    sim::Tick window = 0;
-    /** EWMA weight of the newest window, in (0, 1]. */
-    double ewmaAlpha = 0.4;
-    /** A DPU is hot above hotFactor x mean DPU load (>= 1). */
-    double hotFactor = 1.5;
-    /** Migration budget per window boundary. */
-    unsigned maxMigrationsPerWindow = 1;
-    /** Partitions below this EWMA load never migrate. */
-    double minPartitionLoad = 4.0;
     /** Key partitions the board's requests hash into. */
     unsigned keyPartitions = 16;
     /** DMS-owned state bytes per partition (the migrated range). */
@@ -171,19 +57,13 @@ struct BalanceParams
     /** Forwarding-epoch delta shipped per request absorbed at the
      *  old home while its partition is in flight. */
     std::uint64_t deltaBytesPerRequest = 256;
-
-    PlannerParams
-    planner() const
-    {
-        return {hotFactor, maxMigrationsPerWindow, minPartitionLoad};
-    }
 };
 
 /**
- * The board-tier balancer: owns the tracker, the partition->DPU home
- * map, the per-DPU hand-off engines, and every in-flight migration.
- * Driven by host::BoardScheduler, which calls record() per routed
- * request and onWindowBoundary() between runFor() segments.
+ * The board-tier balancer: owns the partition->DPU home map, the
+ * per-DPU hand-off engines and the migration ledger. Driven by
+ * host::BoardScheduler through ledger(): record() and forward() per
+ * routed request, closeWindow() between runFor() segments.
  */
 class BoardBalancer
 {
@@ -193,7 +73,7 @@ class BoardBalancer
     using CommitHook =
         std::function<void(unsigned part, unsigned from, unsigned to)>;
 
-    /** Migration accounting (host-phase written). */
+    /** Migration accounting. */
     struct Report
     {
         std::uint64_t planned = 0;   ///< migrations launched
@@ -215,24 +95,8 @@ class BoardBalancer
                   const BalanceParams &params);
     ~BoardBalancer();
 
-    // ------------------------------------------------------------
-    // Host-phase driving API
-    // ------------------------------------------------------------
-
-    /** Count one request routed to @p part; if the partition is in
-     *  flight, ship its forwarding-epoch delta to the new home. */
-    void record(unsigned part);
-
-    /** Window boundary @p boundary (== the board clock): harvest
-     *  finished migrations, roll the tracker, plan and launch new
-     *  ones (unless draining). */
-    void onWindowBoundary(sim::Tick boundary);
-
-    /** Stop planning new migrations (the driver is draining). */
-    void setDraining(bool d) { draining = d; }
-
-    /** True while any migration is staging/shipping/landing. */
-    bool migrationsActive() const;
+    /** The drain-then-switch state machine. */
+    balance::MigrationLedger &ledger() { return *led; }
 
     void onCommit(CommitHook hook) { commitHook = std::move(hook); }
 
@@ -240,83 +104,30 @@ class BoardBalancer
     // Introspection
     // ------------------------------------------------------------
 
-    unsigned nPartitions() const { return unsigned(home.size()); }
     unsigned homeOf(unsigned part) const;
-    mem::Addr stateAddr(unsigned part) const;
     /** The partition's state range, read from its CURRENT home. */
     std::vector<std::uint8_t> stateImage(unsigned part) const;
     /** Expected byte @p i of partition @p part's state pattern. */
     static std::uint8_t statePattern(unsigned part, std::uint64_t i);
 
-    LoadTracker &tracker() { return track; }
-    const Report &report() const { return rep; }
-    const BalanceParams &params() const { return p; }
-    /** Engine roles poisoned by timed-out migrations (diagnostics). */
+    /** Ledger counters plus the hand-off engines' own. */
+    Report report() const;
+    /** Source engine role poisoned by a timed-out migration. */
     bool srcPoisoned(unsigned dpu) const;
-    bool dstPoisoned(unsigned dpu) const;
 
   private:
-    enum class MigState : std::uint8_t
-    {
-        Active,
-        Committed,
-        Aborted,
-    };
-
-    /** One live or finished migration. Host-phase fields are only
-     *  touched at window boundaries; srcFailed / srcRetries are
-     *  written by the source partition's thread and read host-phase
-     *  (the boundary's barrier orders the two). */
-    struct Migration
-    {
-        unsigned part = 0;
-        unsigned from = 0;
-        unsigned to = 0;
-        sim::Tick launchedAt = 0;
-        unsigned gen = 0; ///< lander generation token
-        dms::HandoffPlan plan;
-        unsigned chunks = 0;
-        MigState state = MigState::Active;
-        // --- source-thread written ---
-        bool srcFailed = false;
-        unsigned srcRetries = 0;
-    };
-
-    /** Per-DPU hand-off engine roles on the engine core. */
-    struct Engines
-    {
-        std::unique_ptr<dms::HandoffExec> exec;     ///< source role
-        std::unique_ptr<dms::HandoffLander> lander; ///< dest role
-        bool srcBusy = false;
-        bool dstBusy = false;
-        bool srcPoisoned = false;
-        bool dstPoisoned = false;
-    };
+    /** The balance::Transport: DMS chains over the LinkFabric. */
+    class Handoff;
 
     void seedState(unsigned part, unsigned dpu);
-    void launch(const MigrationStep &step, sim::Tick boundary);
-    void srcStart(Migration &m);
-    void onChunkStaged(Migration &m, unsigned chunk, bool error);
-    void ship(Migration &m, unsigned chunk,
-              std::shared_ptr<std::vector<std::uint8_t>> payload,
-              unsigned attempts);
-    void harvest(sim::Tick boundary);
     void foldStats();
 
     Board &brd;
     BalanceParams p;
-    unsigned engineCore;
-    LoadTracker track;
     std::vector<unsigned> home; ///< partition -> DPU (routing truth)
-    std::vector<bool> frozen;   ///< partition in flight
-    std::vector<Engines> engines;
-    /** Owning store; stable addresses (events capture Migration&). */
-    std::vector<std::unique_ptr<Migration>> migrations;
-    /** Active migration per partition, else nullptr. */
-    std::vector<Migration *> inflight;
+    std::unique_ptr<Handoff> handoff;
+    std::unique_ptr<balance::MigrationLedger> led;
     CommitHook commitHook;
-    Report rep;
-    bool draining = false;
     sim::StatGroup stats;
 };
 

@@ -50,13 +50,6 @@ BoardScheduler::BoardScheduler(board::Board &b,
     }
 }
 
-BoardScheduler::BoardScheduler(board::Board &b,
-                               OffloadParams per_dpu,
-                               ShardRouting routing)
-    : BoardScheduler(b, std::move(per_dpu), makeRouter(routing))
-{
-}
-
 unsigned
 BoardScheduler::route(const JobRequest &req)
 {
@@ -130,6 +123,7 @@ BoardScheduler::run()
     // draining (no new plans) and every in-flight migration either
     // commits, aborts, or hits its timeout bound.
     const sim::Tick window = brd.params().balance.window;
+    balance::MigrationLedger &ledger = balancer_->ledger();
     for (auto &s : shards)
         s->holdOpen();
     start();
@@ -141,18 +135,18 @@ BoardScheduler::run()
                offers[next].when < boundary) {
             Offer &o = offers[next++];
             const unsigned part = partitionOf(o.key);
-            balancer_->record(part);
-            shards[parts->homeOf(part, nShards())]->enqueueAt(
-                o.when, std::move(o.req));
+            const unsigned home = parts->homeOf(part, nShards());
+            ledger.record(part);
+            ledger.forward(part, home, o.when);
+            shards[home]->enqueueAt(o.when, std::move(o.req));
         }
         for (auto &s : shards)
             s->setIdleWake(boundary);
         brd.runFor(boundary - brd.now());
         if (next == offers.size())
-            balancer_->setDraining(true);
-        balancer_->onWindowBoundary(boundary);
-        if (next == offers.size() &&
-            !balancer_->migrationsActive())
+            ledger.setDraining(true);
+        ledger.closeWindow(boundary);
+        if (next == offers.size() && !ledger.inFlight())
             break;
         boundary += window;
     }

@@ -26,14 +26,10 @@
  * board balancer on top: keyed requests enter through offer(),
  * which buffers them host-side; run() then drives the board in
  * window-sized segments, forwarding each window's offers to their
- * partition's CURRENT home DPU (the shards are held open between
- * segments), and calling the balancer at every boundary so it can
- * harvest, plan and launch migrations executed inside the next
- * segments. A commit flips exactly one partition in the
- * PartitionRouter — requests offered before the flip drain at the
- * old home (the forwarding epoch), requests after it route to the
- * new one. All host-phase, so any --threads count produces the
- * same board, bit for bit.
+ * partition's CURRENT home DPU, and closes the balancer's migration
+ * ledger (balance/ledger.hh) at every boundary. A commit flips
+ * exactly one partition in the PartitionRouter. All host-phase, so
+ * any --threads count produces the same board, bit for bit.
  */
 
 #ifndef DPU_HOST_BOARD_OFFLOAD_HH
@@ -58,11 +54,7 @@ class BoardScheduler
      * "sched" keeps the PR-5 names; a rack passes "sched.b<b>").
      */
     BoardScheduler(board::Board &b, OffloadParams per_dpu,
-                   std::unique_ptr<Router> router);
-
-    /** Legacy-enum convenience (PR-5 source compatibility). */
-    BoardScheduler(board::Board &b, OffloadParams per_dpu,
-                   ShardRouting routing = ShardRouting::Hash);
+                   std::unique_ptr<Router> router = makeHashRouter());
 
     unsigned nShards() const { return unsigned(shards.size()); }
     OffloadScheduler &shard(unsigned d) { return *shards[d]; }

@@ -42,7 +42,7 @@
  * it) but its bytes land in dropBytes, never in bytes /
  * busyTicks / bytesCarried(), so utilization and carried-byte
  * stats describe traffic that actually reached a board. Partition
- * hand-offs (rack/balance.hh) tag their transfers Migration and
+ * hand-offs (balance/ledger.hh) tag their transfers Migration and
  * are broken out as migBytes on top of the carried totals.
  */
 
@@ -73,7 +73,7 @@ struct NetParams
 enum class NetTraffic : std::uint8_t
 {
     Request,   ///< front-end request payloads
-    Migration, ///< partition-state hand-offs (rack/balance.hh)
+    Migration, ///< partition-state hand-offs (balance/ledger.hh)
     Probe,     ///< health-monitor heartbeats (rack/health.hh)
 };
 

@@ -8,6 +8,58 @@
 
 namespace dpu::rack {
 
+namespace {
+
+/** The rack's balance::Transport: state rides the RackNet as
+ *  Migration traffic, landing at the analytic delivery tick (kept
+ *  as the transfer handle); a wire drop loses it at launch. */
+class NetHandoff : public balance::Transport
+{
+  public:
+    NetHandoff(RackNet &n, const BalanceParams &b) : net(n), bal(b) {}
+
+    bool
+    launch(balance::Migration &m, sim::Tick now) override
+    {
+        // State volume scales with the traffic the partition
+        // absorbed: a fixed snapshot base plus per-request working
+        // set.
+        const std::uint64_t bytes =
+            bal.stateBytesBase + bal.stateBytesPerRequest * m.absorbed;
+        bool dropped = false;
+        m.transfer = net.deliver(m.step.to, bytes, now, dropped,
+                                 NetTraffic::Migration);
+        return !dropped;
+    }
+
+    Status
+    poll(const balance::Migration &m, sim::Tick now) override
+    {
+        return m.transfer <= now ? Status::Landed : Status::Moving;
+    }
+
+    void
+    retire(const balance::Migration &, balance::Outcome) override
+    {
+    }
+
+    bool
+    forward(const balance::Migration &m, std::uint64_t bytes,
+            sim::Tick now) override
+    {
+        bool dropped = false;
+        net.deliver(m.step.to, bytes, now, dropped,
+                    NetTraffic::Migration);
+        return !dropped;
+    }
+
+  private:
+    RackNet &net;
+    const BalanceParams &bal;
+};
+
+} // namespace
+
 unsigned
 keyPartition(std::uint64_t key, unsigned key_partitions)
 {
@@ -37,9 +89,7 @@ RackScheduler::RackScheduler(Rack &r, host::OffloadParams per_dpu,
           std::min(std::max(place_.replication, 1u), r.nBoards()))),
       mon(std::make_unique<HealthMonitor>(r.net(), r.nBoards(),
                                           place_.health)),
-      windows(r.nBoards()), tracker(place_.keyPartitions),
-      frozen(place_.keyPartitions, false),
-      outstandingRepairs(r.nBoards(), 0),
+      windows(r.nBoards()), outstandingRepairs(r.nBoards(), 0),
       boardAdmitted(r.nBoards(), 0), stats("rack")
 {
     sim_assert(place.keyPartitions >= 1,
@@ -55,17 +105,29 @@ RackScheduler::RackScheduler(Rack &r, host::OffloadParams per_dpu,
                    "got %f",
                    place.health.shedDeadlineFrac);
     }
-    if (place.balance.window) {
-        sim_assert(place.balance.ewmaAlpha > 0 &&
-                       place.balance.ewmaAlpha <= 1,
-                   "balance EWMA alpha must be in (0, 1], got %f",
-                   place.balance.ewmaAlpha);
-        sim_assert(place.balance.hotFactor >= 1.0,
-                   "balance hotFactor below 1 would flag every "
-                   "board hot (got %f)",
-                   place.balance.hotFactor);
-        nextRollAt = place.balance.window;
-    }
+    const std::string balErr = place.balance.validate("BalanceParams");
+    sim_assert(balErr.empty(), "%s", balErr.c_str());
+
+    netHandoff =
+        std::make_unique<NetHandoff>(rack.net(), place.balance);
+    balance::Rules rules;
+    rules.homeOf = [this](unsigned part) { return homeOf(part); };
+    rules.eligible = [this](const balance::MigrationStep &s) {
+        // An evicted board carries no load, so the planner sees it
+        // as the coldest target — but shipping state onto a board
+        // the detector distrusts would hand partitions right back
+        // to the failure. (A rejoined board is Healthy again and
+        // soaks up load normally.)
+        return !mon->monitoring() ||
+               mon->state(s.to) == BoardHealth::Healthy;
+    };
+    rules.commit = [this](const balance::Migration &m) {
+        commitMigration(m);
+    };
+    rules.deltaBytes = place.balance.stateBytesPerRequest;
+    ledger = std::make_unique<balance::MigrationLedger>(
+        place.balance, place.keyPartitions, rack.nBoards(),
+        *netHandoff, std::move(rules));
     const std::string prefix = per_dpu.statName;
     boardScheds.reserve(rack.nBoards());
     for (unsigned b = 0; b < rack.nBoards(); ++b) {
@@ -77,34 +139,29 @@ RackScheduler::RackScheduler(Rack &r, host::OffloadParams per_dpu,
                 host::makeHashRouter()));
     }
     stats.addFlushHook([this] {
-        if (offered)
-            stats.counter("offered") = offered;
-        if (admitted)
-            stats.counter("admitted") = admitted;
-        if (rejectedCnt)
-            stats.counter("rejected") = rejectedCnt;
-        if (boardsDownCnt)
-            stats.counter("boardsDown") = boardsDownCnt;
-        if (netLostCnt)
-            stats.counter("netLost") = netLostCnt;
-        if (shedCnt)
-            stats.counter("shed") = shedCnt;
-        if (failoverCnt)
-            stats.counter("failovers") = failoverCnt;
-        if (admitRerouteCnt)
-            stats.counter("admitReroutes") = admitRerouteCnt;
-        if (repairStarted)
-            stats.counter("repairStarted") = repairStarted;
-        if (repairCommitted)
-            stats.counter("repairCommitted") = repairCommitted;
-        if (migStarted)
-            stats.counter("migStarted") = migStarted;
-        if (migCommitted)
-            stats.counter("migCommitted") = migCommitted;
-        if (migAborted)
-            stats.counter("migAborted") = migAborted;
-        if (forwardedCnt)
-            stats.counter("forwarded") = forwardedCnt;
+        // Cells register only once nonzero, so runs that never hit
+        // a path keep their goldens byte-identical.
+        auto put = [this](const char *name, std::uint64_t v) {
+            if (v)
+                stats.counter(name) = v;
+        };
+        put("offered", offered);
+        put("admitted", admitted);
+        put("rejected", rejectedCnt);
+        put("boardsDown", boardsDownCnt);
+        put("netLost", netLostCnt);
+        put("shed", shedCnt);
+        put("failovers", failoverCnt);
+        put("admitReroutes", admitRerouteCnt);
+        const auto &mig = ledger->counters();
+        const auto &rep = ledger->counters(balance::Purpose::Repair);
+        put("repairStarted", rep.started);
+        put("repairCommitted", rep.committed);
+        put("migStarted", mig.started);
+        put("migCommitted", mig.committed);
+        put("migAborted", mig.aborted);
+        put("forwarded", ledger->forwarding().requests);
+        put("deltaDropped", ledger->forwarding().dropped);
         if (place.balance.window) {
             // Per-shard serving accounting only matters (and only
             // folds) when the balancer is live, so un-balanced
@@ -141,18 +198,7 @@ RackScheduler::primaryOf(std::uint64_t key) const
 std::vector<unsigned>
 RackScheduler::replicasOf(std::uint64_t key) const
 {
-    host::RouteInfo info;
-    info.key = partitionOf(key);
-    info.hasKey = true;
-    std::vector<unsigned> out;
-    partMap->candidates(info, rack.nBoards(), out);
-    return out;
-}
-
-double
-RackScheduler::partitionLoad(unsigned partition) const
-{
-    return tracker.load(partition);
+    return currentReplicas(partitionOf(key));
 }
 
 bool
@@ -172,85 +218,30 @@ RackScheduler::admissionFull(unsigned b, sim::Tick now)
     return w.size() >= place.admitPerWindow;
 }
 
-RackScheduler::InFlight *
-RackScheduler::inflightOf(unsigned partition)
-{
-    for (InFlight &m : inflight)
-        if (m.step.partition == partition)
-            return &m;
-    return nullptr;
-}
-
 void
-RackScheduler::commitReady(sim::Tick when)
+RackScheduler::commitMigration(const balance::Migration &m)
 {
-    for (std::size_t i = 0; i < inflight.size();) {
-        InFlight &m = inflight[i];
-        if (m.readyAt > when) {
-            ++i;
-            continue;
-        }
-        if (m.repair) {
-            // The fresh copy is whole: append its board to the
-            // partition's replica set (the primary is untouched —
-            // this restores width, it does not re-home).
-            std::vector<unsigned> set =
-                currentReplicas(m.step.partition);
-            bool already = false;
-            for (unsigned s : set)
-                already |= s == m.step.to;
-            if (!already) {
-                set.push_back(m.step.to);
-                partMap->setReplicas(m.step.partition, set);
-            }
-            frozen[m.step.partition] = false;
-            ++repairCommitted;
-            sim_assert(outstandingRepairs[m.attributed] > 0,
-                       "repair committed for board %u with none "
-                       "outstanding",
-                       m.attributed);
-            if (--outstandingRepairs[m.attributed] == 0)
-                mon->markRepaired(m.attributed);
-        } else {
-            // Drain-then-switch: everything enqueued before this
-            // tick went to (and will finish at) the old home;
-            // everything after routes to the new one. No job is in
-            // limbo.
-            partMap->reassign(m.step.partition, m.step.to);
-            frozen[m.step.partition] = false;
-            ++migCommitted;
-        }
-        inflight.erase(inflight.begin() +
-                       std::vector<InFlight>::difference_type(i));
-    }
-}
-
-void
-RackScheduler::startMigration(const MigrationStep &step,
-                              sim::Tick when)
-{
-    // State volume scales with the traffic the partition absorbed:
-    // a fixed snapshot base plus per-request working set.
-    const std::uint64_t bytes =
-        place.balance.stateBytesBase +
-        place.balance.stateBytesPerRequest *
-            tracker.totalLoad(step.partition);
-    bool dropped = false;
-    const sim::Tick ready = rack.net().deliver(
-        step.to, bytes, when, dropped, NetTraffic::Migration);
-    ++migStarted;
-    if (dropped) {
-        // The transfer died on the wire: abort, leave the partition
-        // at its source. A later window may retry.
-        ++migAborted;
+    const unsigned part = m.step.partition;
+    if (m.purpose == balance::Purpose::Move) {
+        // Drain-then-switch: everything enqueued before this tick
+        // went to (and will finish at) the old home; everything
+        // after routes to the new one. No job is in limbo.
+        partMap->reassign(part, m.step.to);
         return;
     }
-    InFlight m;
-    m.step = step;
-    m.startedAt = when;
-    m.readyAt = ready;
-    frozen[step.partition] = true;
-    inflight.push_back(m);
+    // The fresh copy is whole: append its board to the partition's
+    // replica set (the primary is untouched — this restores width,
+    // it does not re-home).
+    std::vector<unsigned> set = currentReplicas(part);
+    if (std::find(set.begin(), set.end(), m.step.to) == set.end()) {
+        set.push_back(m.step.to);
+        partMap->setReplicas(part, set);
+    }
+    sim_assert(outstandingRepairs[m.tag] > 0,
+               "repair committed for board %u with none outstanding",
+               m.tag);
+    if (--outstandingRepairs[m.tag] == 0)
+        mon->markRepaired(m.tag);
 }
 
 std::vector<unsigned>
@@ -273,12 +264,9 @@ RackScheduler::pickReplacement(
     // re-replicating onto a Suspect board would race its verdict.
     int best = -1;
     for (unsigned b = 0; b < rack.nBoards(); ++b) {
-        if (mon->state(b) != BoardHealth::Healthy)
-            continue;
-        bool used = false;
-        for (unsigned e : exclude)
-            used |= e == b;
-        if (used)
+        if (mon->state(b) != BoardHealth::Healthy ||
+            std::find(exclude.begin(), exclude.end(), b) !=
+                exclude.end())
             continue;
         if (best < 0 ||
             boardAdmitted[b] < boardAdmitted[unsigned(best)])
@@ -295,36 +283,21 @@ RackScheduler::repairBoard(unsigned b)
     // can't take delivery. Abort cleanly; eviction below re-homes
     // whatever lived there, and an aborted repair is re-queued so
     // its partition still gets a new copy.
-    for (std::size_t i = 0; i < inflight.size();) {
-        InFlight &m = inflight[i];
-        if (m.step.from != b && m.step.to != b) {
-            ++i;
-            continue;
-        }
-        frozen[m.step.partition] = false;
-        if (m.repair)
-            owedRepairs.push_back(
-                {m.step.partition, m.attributed});
-        else
-            ++migAborted;
-        inflight.erase(inflight.begin() +
-                       std::vector<InFlight>::difference_type(i));
-    }
+    for (const balance::Migration &m : ledger->abortTouching(b))
+        if (m.purpose == balance::Purpose::Repair)
+            owedRepairs.push_back({m.step.partition, m.tag});
 
     // 2. Evict b from every replica set it serves. The strongest
     // survivor is promoted to primary; the lost width is owed as a
     // re-replication shipped by pumpRepairs().
     for (unsigned p2 = 0; p2 < place.keyPartitions; ++p2) {
-        std::vector<unsigned> set = currentReplicas(p2);
-        bool member = false;
-        for (unsigned s : set)
-            member |= s == b;
-        if (!member)
+        // Replica sets are duplicate-free: b appears at most once.
+        std::vector<unsigned> survivors = currentReplicas(p2);
+        const auto it =
+            std::find(survivors.begin(), survivors.end(), b);
+        if (it == survivors.end())
             continue;
-        std::vector<unsigned> survivors;
-        for (unsigned s : set)
-            if (s != b)
-                survivors.push_back(s);
+        survivors.erase(it);
         if (survivors.empty()) {
             // Replication 1 and the only copy died: re-provision
             // onto the coldest healthy board (the real system
@@ -336,7 +309,7 @@ RackScheduler::repairBoard(unsigned b)
         }
         partMap->setReplicas(p2, survivors);
         if (survivors.size() < partMap->replicationWidth()) {
-            bool owed = frozen[p2];
+            bool owed = ledger->frozen(p2);
             for (const RepairJob &j : owedRepairs)
                 owed |= j.partition == p2;
             if (!owed) {
@@ -363,44 +336,16 @@ RackScheduler::pumpRepairs(sim::Tick when)
             still.push_back(j);
             continue;
         }
-        const std::uint64_t bytes =
-            place.balance.stateBytesBase +
-            place.balance.stateBytesPerRequest *
-                tracker.totalLoad(j.partition);
-        bool dropped = false;
-        const sim::Tick ready =
-            rack.net().deliver(unsigned(target), bytes, when,
-                               dropped, NetTraffic::Migration);
-        ++repairStarted;
-        if (dropped) {
-            // Wire time burned, copy lost: retried at the next
-            // arrival (the obligation survives).
+        const balance::MigrationStep step{
+            j.partition, set.empty() ? unsigned(target) : set[0],
+            unsigned(target)};
+        // A copy lost on the wire is retried at the next arrival
+        // (the obligation survives).
+        if (!ledger->launch(step, when, balance::Purpose::Repair,
+                            j.attributed))
             still.push_back(j);
-            continue;
-        }
-        InFlight m;
-        m.step.partition = j.partition;
-        m.step.from = set.empty() ? unsigned(target) : set[0];
-        m.step.to = unsigned(target);
-        m.startedAt = when;
-        m.readyAt = ready;
-        m.repair = true;
-        m.attributed = j.attributed;
-        frozen[j.partition] = true;
-        inflight.push_back(m);
     }
     owedRepairs = std::move(still);
-}
-
-void
-RackScheduler::processTransitions()
-{
-    const std::vector<HealthTransition> &log = mon->transitions();
-    for (; seenTransitions < log.size(); ++seenTransitions) {
-        const HealthTransition &t = log[seenTransitions];
-        if (t.to == BoardHealth::Down && place.health.repair)
-            repairBoard(t.board);
-    }
 }
 
 void
@@ -409,12 +354,14 @@ RackScheduler::advanceHealth(sim::Tick when)
     if (!mon->monitoring())
         return;
     mon->advanceTo(when);
-    processTransitions();
+    // React to the detector transitions logged since the last call.
+    const std::vector<HealthTransition> &log = mon->transitions();
+    for (; seenTransitions < log.size(); ++seenTransitions) {
+        const HealthTransition &t = log[seenTransitions];
+        if (t.to == BoardHealth::Down && place.health.repair)
+            repairBoard(t.board);
+    }
     pumpRepairs(when);
-    // With the balancer off nothing else drives commitReady, and
-    // repair transfers still need their drain-then-switch commit.
-    if (!place.balance.window)
-        commitReady(when);
 }
 
 bool
@@ -445,37 +392,6 @@ RackScheduler::shouldShed(unsigned b, sim::Tick send_at,
            double(deadline) * place.health.shedDeadlineFrac;
 }
 
-void
-RackScheduler::advanceBalancer(sim::Tick when)
-{
-    while (nextRollAt && when >= nextRollAt) {
-        const sim::Tick boundary = nextRollAt;
-        nextRollAt += place.balance.window;
-        // Commit transfers delivered by this boundary before
-        // planning, so the plan sees the freshest committed map.
-        commitReady(boundary);
-        tracker.roll(place.balance.ewmaAlpha);
-        std::vector<unsigned> home(place.keyPartitions);
-        for (unsigned p2 = 0; p2 < place.keyPartitions; ++p2)
-            home[p2] = partMap->homeOf(p2, rack.nBoards());
-        const std::vector<MigrationStep> plan = planMigrations(
-            tracker.loads(), home, rack.nBoards(), place.balance,
-            frozen);
-        for (const MigrationStep &s : plan) {
-            // An evicted board carries no load, so the planner
-            // sees it as the coldest target — but shipping state
-            // onto a board the detector distrusts would hand
-            // partitions right back to the failure. (A rejoined
-            // board is Healthy again and soaks up load normally.)
-            if (mon->monitoring() &&
-                mon->state(s.to) != BoardHealth::Healthy)
-                continue;
-            startMigration(s, boundary);
-        }
-    }
-    commitReady(when);
-}
-
 AdmitResult
 RackScheduler::enqueueAt(sim::Tick when, RackRequest req,
                          unsigned *board_out)
@@ -486,19 +402,16 @@ RackScheduler::enqueueAt(sim::Tick when, RackRequest req,
     ++offered;
 
     advanceHealth(when);
+    // Window boundaries due by now, then commit every transfer
+    // (move or repair) delivered by now.
+    ledger->advance(when);
 
     const unsigned part = partitionOf(req.key);
-    if (place.balance.window) {
-        advanceBalancer(when);
-        // Offered demand, not admitted: rejects are load too.
-        tracker.record(part);
-    }
+    // Offered demand, not admitted: rejects are load too.
+    if (place.balance.window)
+        ledger->record(part);
 
-    host::RouteInfo info;
-    info.key = part;
-    info.hasKey = true;
-    std::vector<unsigned> group;
-    partMap->candidates(info, rack.nBoards(), group);
+    const std::vector<unsigned> group = currentReplicas(part);
     bool sawFull = false, sawDrop = false, sawShed = false;
     // Why the previous candidates were skipped decides whether a
     // non-primary delivery counts as a failover (outage signals)
@@ -561,21 +474,11 @@ RackScheduler::enqueueAt(sim::Tick when, RackRequest req,
         }
         if (board_out)
             *board_out = b;
-        if (InFlight *m = inflightOf(part);
-            m && b == m->step.from) {
-            // Forwarding epoch: the request drains at the source,
-            // and its delta rides to the new home so the snapshot
-            // in flight stays current. A dropped delta only costs
-            // accounting (the commit re-sends nothing — state is
-            // modeled, not materialized).
-            ++forwardedCnt;
-            ++m->forwardedReqs;
-            bool deltaDropped = false;
-            rack.net().deliver(m->step.to,
-                               place.balance.stateBytesPerRequest,
-                               sendAt, deltaDropped,
-                               NetTraffic::Migration);
-        }
+        // Forwarding epoch: a request drained at a migrating
+        // partition's source ships its delta to the new home. A
+        // dropped delta only costs accounting (state is modeled,
+        // not materialized).
+        ledger->forward(part, b, sendAt);
         boardScheds[b]->enqueueAt(delivered, std::move(req.job));
         return AdmitResult::Admitted;
     }
@@ -620,12 +523,14 @@ RackScheduler::summary() const
     sum.failovers = failoverCnt;
     sum.admitReroutes = admitRerouteCnt;
     sum.probes = mon->probesSent();
-    sum.repairsStarted = repairStarted;
-    sum.repairsCommitted = repairCommitted;
-    sum.migStarted = migStarted;
-    sum.migCommitted = migCommitted;
-    sum.migAborted = migAborted;
-    sum.forwarded = forwardedCnt;
+    const auto &mig = ledger->counters();
+    const auto &rep = ledger->counters(balance::Purpose::Repair);
+    sum.repairsStarted = rep.started;
+    sum.repairsCommitted = rep.committed;
+    sum.migStarted = mig.started;
+    sum.migCommitted = mig.committed;
+    sum.migAborted = mig.aborted;
+    sum.forwarded = ledger->forwarding().requests;
     sum.migrationBytes = rack.net().migrationBytes();
     sum.netDroppedBytes = rack.net().droppedBytes();
 

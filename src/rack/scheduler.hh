@@ -38,20 +38,15 @@
  *     the board simulates.
  *
  *  4. Rebalancing (balance.window > 0) — every arrival first
- *     advances the balancer clock: partition loads roll into EWMAs
- *     at each window boundary, planMigrations() (rack/balance.hh)
- *     picks moves off hot boards, and each move ships its partition
- *     state to the new home over the RackNet as Migration traffic.
- *     The transfer's delivery tick opens a *forwarding epoch*: the
- *     partition map is left pointing at the source, arrivals keep
- *     draining there (counted as forwarded, each shipping a small
- *     delta to the destination), and only when an arrival finds the
- *     transfer delivered does the map flip — drain-then-switch, so
- *     no in-flight job is ever lost or duplicated. A transfer the
- *     network drops aborts its migration: the partition simply
- *     stays where it was (fault-safe, retried at a later window).
- *     Because every decision happens at enqueue time in trace
- *     order, rebalancing is bit-identical at any --threads count.
+ *     advances the migration ledger (balance/ledger.hh), which plans
+ *     moves off hot boards and runs drain-then-switch. The rack
+ *     supplies its transport (partition state rides the RackNet as
+ *     Migration traffic and lands at the analytic delivery tick; a
+ *     wire drop aborts at launch), its eligibility rule (the target
+ *     must be Healthy) and its commit action
+ *     (PartitionRouter::reassign). Every decision happens at
+ *     enqueue time in trace order, so rebalancing is bit-identical
+ *     at any --threads count.
  *
  *  5. Health, repair and brown-out (health.heartbeatPeriod > 0) —
  *     every arrival first advances the HealthMonitor: due
@@ -62,13 +57,11 @@
  *     board is evicted from every partition's replica set (the
  *     surviving replica is promoted to primary via an explicit
  *     PartitionRouter replica-set override), and the replication
- *     factor is restored by shipping partition state to a fresh
- *     board as a Migration transfer under the same
- *     drain-then-switch rules — the partition is frozen against
- *     balancer moves until the copy commits, and a dropped
- *     transfer is retried at the next arrival. Once every repair
- *     attributed to a crashed board commits, the crash latch
- *     clears and heartbeats walk the board back through
+ *     factor is restored by a Repair migration through the same
+ *     ledger onto a fresh board, whose commit appends the replica
+ *     (setReplicas); a dropped copy is retried at the next arrival.
+ *     Once every repair attributed to a crashed board commits, the
+ *     crash latch clears and heartbeats walk the board back through
  *     Probation. The brown-out controller sheds requests at the
  *     front-end (AdmitResult::Shed) when a candidate is Suspect or
  *     its admission window is nearly full AND the predicted
@@ -95,13 +88,24 @@
 #include <memory>
 #include <vector>
 
+#include "balance/ledger.hh"
 #include "host/board_offload.hh"
 #include "host/router.hh"
-#include "rack/balance.hh"
 #include "rack/health.hh"
 #include "rack/rack.hh"
 
 namespace dpu::rack {
+
+/** Rack-balancer knobs: the shared policy plus the state-size model
+ *  of a hand-off. Defaults leave it OFF (window = 0). */
+struct BalanceParams : balance::Policy
+{
+    /** Partition state shipped per migration: a fixed base... */
+    std::uint64_t stateBytesBase = 64 * 1024;
+    /** ...plus this much per request the partition absorbed (its
+     *  working set grows with traffic). */
+    std::uint64_t stateBytesPerRequest = 256;
+};
 
 /** Placement / admission / rebalancing knobs. */
 struct PlacementParams
@@ -235,31 +239,17 @@ class RackScheduler
     /** Rack-wide aggregate; valid after rack.run(). */
     RackSummary summary() const;
 
-    // --- balancer observability (tests / benches) ---------------
-    /** Smoothed load of @p partition (EWMA over windows). */
-    double partitionLoad(unsigned partition) const;
-    unsigned migrationsInFlight() const
+    /** Balancer moves and repair copies, in one ledger. */
+    const balance::MigrationLedger &migrations() const
     {
-        return unsigned(inflight.size());
+        return *ledger;
     }
-    std::uint64_t migrationsStarted() const { return migStarted; }
-    std::uint64_t migrationsCommitted() const
-    {
-        return migCommitted;
-    }
-    std::uint64_t migrationsAborted() const { return migAborted; }
-    std::uint64_t forwardedRequests() const { return forwardedCnt; }
 
     // --- health / repair observability (tests / benches) --------
     std::uint64_t shedCount() const { return shedCnt; }
     std::uint64_t admitRerouteCount() const
     {
         return admitRerouteCnt;
-    }
-    std::uint64_t repairsStarted() const { return repairStarted; }
-    std::uint64_t repairsCommitted() const
-    {
-        return repairCommitted;
     }
     /** Entries currently held in @p b's admission window (S1
      *  regression probe: must stay bounded, and empty with the
@@ -270,20 +260,6 @@ class RackScheduler
     }
 
   private:
-    /** One migration inside its forwarding epoch. */
-    struct InFlight
-    {
-        MigrationStep step;
-        sim::Tick startedAt = 0;
-        sim::Tick readyAt = 0; ///< transfer delivery tick
-        std::uint64_t forwardedReqs = 0;
-        /** Repair re-replication (append a replica on commit)
-         *  rather than a balancer move (re-home on commit). */
-        bool repair = false;
-        /** The Down board this repair is making whole again. */
-        unsigned attributed = 0;
-    };
-
     /** One owed re-replication not yet shipping (no target yet,
      *  or its transfer was dropped / its target died). */
     struct RepairJob
@@ -302,8 +278,6 @@ class RackScheduler
 
     /** Probes, observations, transitions, repair pump. */
     void advanceHealth(sim::Tick when);
-    /** React to detector transitions drained since the last call. */
-    void processTransitions();
     /** Evict Down board @p b everywhere; promote + queue repairs. */
     void repairBoard(unsigned b);
     /** Try to ship every owed re-replication at @p when. */
@@ -313,14 +287,9 @@ class RackScheduler
     /** Least-loaded routable board outside @p exclude, or -1. */
     int pickReplacement(const std::vector<unsigned> &exclude) const;
 
-    /** Roll windows / plan / commit everything due by @p when. */
-    void advanceBalancer(sim::Tick when);
-    /** Flip the map for transfers delivered by @p when. */
-    void commitReady(sim::Tick when);
-    /** Ship state for @p step at @p when; open an epoch. */
-    void startMigration(const MigrationStep &step, sim::Tick when);
-    /** The in-flight record for @p partition, or nullptr. */
-    InFlight *inflightOf(unsigned partition);
+    /** The ledger's commit action: re-home a move, append the
+     *  replica a repair copied. */
+    void commitMigration(const balance::Migration &m);
 
     Rack &rack;
     PlacementParams place;
@@ -335,11 +304,10 @@ class RackScheduler
     /** Fallback deadline for shed prediction (per-DPU default). */
     sim::Tick defaultDeadline = 0;
 
-    // Balancer state (host phase only).
-    LoadTracker tracker;
-    std::vector<bool> frozen;      ///< partitions mid-migration
-    std::vector<InFlight> inflight;
-    sim::Tick nextRollAt = 0;      ///< next window boundary; 0 = off
+    // Migration state (host phase only): the RackNet transport and
+    // the ledger driving it.
+    std::unique_ptr<balance::Transport> netHandoff;
+    std::unique_ptr<balance::MigrationLedger> ledger;
 
     // Repair state (host phase only).
     std::vector<RepairJob> owedRepairs; ///< queued / retrying
@@ -358,12 +326,6 @@ class RackScheduler
     std::uint64_t shedCnt = 0;
     std::uint64_t failoverCnt = 0;
     std::uint64_t admitRerouteCnt = 0;
-    std::uint64_t repairStarted = 0;
-    std::uint64_t repairCommitted = 0;
-    std::uint64_t migStarted = 0;
-    std::uint64_t migCommitted = 0;
-    std::uint64_t migAborted = 0;
-    std::uint64_t forwardedCnt = 0;
     std::vector<std::uint64_t> boardAdmitted;
     sim::StatGroup stats;
 };

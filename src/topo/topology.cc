@@ -165,22 +165,12 @@ ClusterTopology::validate() const
         if (link_.flitBytes == 0)
             return msg("the board link flit size must be positive "
                        "(LinkParams.flitBytes = 0)");
+        const std::string balErr =
+            boardBal_.validate("board BalanceParams");
+        if (!balErr.empty())
+            return balErr;
         if (boardBal_.window) {
             const board::BalanceParams &bal = boardBal_;
-            if (bal.ewmaAlpha <= 0 || bal.ewmaAlpha > 1)
-                return msg("the board balancer EWMA alpha must sit "
-                           "in (0, 1] (board BalanceParams."
-                           "ewmaAlpha = " +
-                           std::to_string(bal.ewmaAlpha) + ")");
-            if (bal.hotFactor < 1.0)
-                return msg("a board hotFactor below 1 flags every "
-                           "DPU hot (board BalanceParams."
-                           "hotFactor = " +
-                           std::to_string(bal.hotFactor) + ")");
-            if (bal.maxMigrationsPerWindow == 0)
-                return msg("an enabled board balancer needs a "
-                           "migration budget (board BalanceParams."
-                           "maxMigrationsPerWindow = 0)");
             if (bal.keyPartitions == 0)
                 return msg("the board balancer needs at least one "
                            "key partition (board BalanceParams."
@@ -231,21 +221,10 @@ ClusterTopology::validate() const
             (place_.admitPerWindow == 0))
             return msg("admission control needs both admitWindow "
                        "and admitPerWindow set (or neither)");
-        if (place_.balance.window) {
-            const rack::BalanceParams &bal = place_.balance;
-            if (bal.ewmaAlpha <= 0 || bal.ewmaAlpha > 1)
-                return msg("the balancer EWMA alpha must sit in "
-                           "(0, 1] (BalanceParams.ewmaAlpha = " +
-                           std::to_string(bal.ewmaAlpha) + ")");
-            if (bal.hotFactor < 1.0)
-                return msg("a hotFactor below 1 flags every board "
-                           "hot (BalanceParams.hotFactor = " +
-                           std::to_string(bal.hotFactor) + ")");
-            if (bal.maxMigrationsPerWindow == 0)
-                return msg("an enabled balancer needs a migration "
-                           "budget (BalanceParams."
-                           "maxMigrationsPerWindow = 0)");
-        }
+        const std::string balErr =
+            place_.balance.validate("BalanceParams");
+        if (!balErr.empty())
+            return balErr;
         if (place_.health.heartbeatPeriod) {
             const rack::HealthParams &h = place_.health;
             if (h.ackTimeout == 0)

@@ -4,8 +4,8 @@
  *
  * Three layers, mirroring the module's split:
  *
- *  - planner laws: board::planMigrations generalizes the PR-8 rack
- *    planner to any node tier — strict improvement, freeze and
+ *  - planner laws: balance::planMigrations, the rack planner, run
+ *    one tier down — strict improvement, freeze and
  *    min-load guards, the per-window budget, lowest-index ties, and
  *    the no-double-move invariant;
  *
@@ -42,8 +42,8 @@
 #include "topo/topology.hh"
 
 using namespace dpu;
-using board::MigrationStep;
-using board::PlannerParams;
+using balance::MigrationStep;
+using balance::Policy;
 
 namespace {
 
@@ -206,7 +206,7 @@ TEST(BoardPlanner, BalancedLoadPlansNothing)
     const std::vector<double> loads{10, 10, 10, 10};
     std::vector<unsigned> home{0, 1, 2, 3};
     const auto plan =
-        board::planMigrations(loads, home, 4, PlannerParams{});
+        balance::planMigrations(loads, home, 4, Policy{});
     EXPECT_TRUE(plan.empty());
     EXPECT_EQ(home, (std::vector<unsigned>{0, 1, 2, 3}));
 }
@@ -219,7 +219,7 @@ TEST(BoardPlanner, HotNodeShedsHeaviestToColdest)
     const std::vector<double> loads{60, 40, 20, 5};
     std::vector<unsigned> home{0, 0, 0, 1};
     const auto plan =
-        board::planMigrations(loads, home, 3, PlannerParams{});
+        balance::planMigrations(loads, home, 3, Policy{});
     ASSERT_EQ(plan.size(), 1u);
     EXPECT_EQ(plan[0].partition, 0u);
     EXPECT_EQ(plan[0].from, 0u);
@@ -234,10 +234,10 @@ TEST(BoardPlanner, StrictImprovementBlocksOscillation)
     // spot (dest + load >= src), so the planner must refuse.
     const std::vector<double> loads{50, 1};
     std::vector<unsigned> home{0, 1};
-    PlannerParams p;
+    Policy p;
     p.hotFactor = 1.1;
     p.minPartitionLoad = 1.0;
-    const auto plan = board::planMigrations(loads, home, 2, p);
+    const auto plan = balance::planMigrations(loads, home, 2, p);
     EXPECT_TRUE(plan.empty());
 }
 
@@ -245,13 +245,13 @@ TEST(BoardPlanner, FrozenAndLightPartitionsNeverMove)
 {
     const std::vector<double> loads{60, 3, 40};
     std::vector<unsigned> home{0, 0, 0};
-    PlannerParams p;
+    Policy p;
     p.minPartitionLoad = 4.0;
     // Partition 0 (heaviest) is mid-migration: frozen. Partition 1
     // is below minPartitionLoad. Only partition 2 may move.
     const std::vector<bool> frozen{true, false, false};
     const auto plan =
-        board::planMigrations(loads, home, 2, p, frozen);
+        balance::planMigrations(loads, home, 2, p, frozen);
     ASSERT_EQ(plan.size(), 1u);
     EXPECT_EQ(plan[0].partition, 2u);
 }
@@ -260,11 +260,11 @@ TEST(BoardPlanner, BudgetBoundsThePlanAndNoPartitionMovesTwice)
 {
     const std::vector<double> loads{30, 28, 26, 24, 1, 1};
     std::vector<unsigned> home{0, 0, 0, 0, 1, 2};
-    PlannerParams p;
+    Policy p;
     p.hotFactor = 1.0;
     p.maxMigrationsPerWindow = 3;
     p.minPartitionLoad = 1.0;
-    const auto plan = board::planMigrations(loads, home, 4, p);
+    const auto plan = balance::planMigrations(loads, home, 4, p);
     EXPECT_LE(plan.size(), 3u);
     ASSERT_GE(plan.size(), 2u);
     std::vector<bool> seen(loads.size(), false);
@@ -444,6 +444,9 @@ runBalancedScenario(unsigned threads, const char *faults,
         Scenario s(threads);
         s.offerSkewed(160);
         s.sched->run();
+        const balance::MigrationLedger &led = s.bal().ledger();
+        const auto &c = led.counters();
+        EXPECT_EQ(c.started, c.committed + c.aborted + led.inFlight());
         out.images = s.images();
         out.homes = s.homes();
         out.snap = sim::StatsRegistry::instance().snapshot();

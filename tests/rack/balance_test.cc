@@ -15,8 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "balance/planner.hh"
 #include "host/offload.hh"
-#include "rack/balance.hh"
 #include "rack/rack.hh"
 #include "rack/scheduler.hh"
 #include "rack/trace.hh"
@@ -145,6 +145,14 @@ runBalancedScenario(unsigned threads, const char *faults = nullptr,
 
     if (finished_out)
         *finished_out = r->allFinished();
+    // Every migration the ledger started is accounted for.
+    const balance::MigrationLedger &led = sched.migrations();
+    for (balance::Purpose p :
+         {balance::Purpose::Move, balance::Purpose::Repair}) {
+        const auto &c = led.counters(p);
+        EXPECT_EQ(c.started,
+                  c.committed + c.aborted + led.inFlight(p));
+    }
     const rack::RackSummary sum = sched.summary();
     if (sum_out)
         *sum_out = sum;
@@ -165,7 +173,7 @@ runBalancedScenario(unsigned threads, const char *faults = nullptr,
 
 TEST(LoadTracker, WindowCountsFoldIntoAPrimedEwma)
 {
-    rack::LoadTracker t(3);
+    balance::LoadTracker t(3);
     t.record(0);
     t.record(0);
     t.record(1);
@@ -203,7 +211,7 @@ TEST(MigrationPlan, MovesTheHeaviestEligiblePartitionToTheColdest)
     std::vector<unsigned> home = {0, 0, 0, 0};
     rack::BalanceParams p;
     p.window = 1;
-    const auto plan = rack::planMigrations(loads, home, 4, p);
+    const auto plan = balance::planMigrations(loads, home, 4, p);
     ASSERT_EQ(plan.size(), 1u);
     EXPECT_EQ(plan[0].partition, 1u); // heaviest eligible
     EXPECT_EQ(plan[0].from, 0u);
@@ -219,7 +227,7 @@ TEST(MigrationPlan, BudgetAndStrictImprovementBoundThePlan)
     rack::BalanceParams p;
     p.window = 1;
     p.maxMigrationsPerWindow = 3;
-    const auto plan = rack::planMigrations(loads, home, 4, p);
+    const auto plan = balance::planMigrations(loads, home, 4, p);
     // Two moves drain board 0 to {10, 1}; a third would have to
     // move 30 off board 1 onto an empty board, which is not a
     // strict improvement (30 -> 30), so the plan stops at two even
@@ -242,7 +250,7 @@ TEST(MigrationPlan, ASingleMegaPartitionNeverOscillates)
     rack::BalanceParams p;
     p.window = 1;
     p.maxMigrationsPerWindow = 4;
-    EXPECT_TRUE(rack::planMigrations(loads, home, 4, p).empty());
+    EXPECT_TRUE(balance::planMigrations(loads, home, 4, p).empty());
     EXPECT_EQ(home[0], 0u);
 }
 
@@ -256,10 +264,10 @@ TEST(MigrationPlan, FrozenAndFeatherweightPartitionsStayPut)
     // Partition 0 is mid-migration (frozen) and partition 1 sits
     // below minPartitionLoad: a hot board with nothing movable.
     EXPECT_TRUE(
-        rack::planMigrations(loads, home, 2, p, frozen).empty());
+        balance::planMigrations(loads, home, 2, p, frozen).empty());
     frozen[0] = false;
     const auto plan =
-        rack::planMigrations(loads, home, 2, p, frozen);
+        balance::planMigrations(loads, home, 2, p, frozen);
     ASSERT_EQ(plan.size(), 1u);
     EXPECT_EQ(plan[0].partition, 0u);
     EXPECT_EQ(plan[0].to, 1u);
@@ -271,11 +279,11 @@ TEST(MigrationPlan, NeedsAtLeastTwoBoardsAndRealLoad)
     std::vector<unsigned> home = {0};
     rack::BalanceParams p;
     p.window = 1;
-    EXPECT_TRUE(rack::planMigrations(loads, home, 1, p).empty());
+    EXPECT_TRUE(balance::planMigrations(loads, home, 1, p).empty());
     // And a silent rack plans nothing (mean load 0).
     std::vector<double> idle = {0, 0};
     std::vector<unsigned> home2 = {0, 1};
-    EXPECT_TRUE(rack::planMigrations(idle, home2, 2, p).empty());
+    EXPECT_TRUE(balance::planMigrations(idle, home2, 2, p).empty());
 }
 
 // ----------------------------------------------------------------
@@ -308,7 +316,7 @@ TEST(RackBalance, MigrationDrainsAtTheSourceThenSwitches)
                   rack::AdmitResult::Admitted);
         ASSERT_EQ(board, hot);
     }
-    EXPECT_EQ(sched.migrationsStarted(), 0u);
+    EXPECT_EQ(sched.migrations().counters().started, 0u);
 
     // The first arrivals past the 1 ms boundary trigger the roll
     // and one migration; its ~80 KB transfer is still on the wire
@@ -324,15 +332,15 @@ TEST(RackBalance, MigrationDrainsAtTheSourceThenSwitches)
     ASSERT_EQ(sched.enqueueAt(at, keyedRequest(at, keys[1], 1001),
                               &b1),
               rack::AdmitResult::Admitted);
-    EXPECT_EQ(sched.migrationsStarted(), 1u);
-    EXPECT_EQ(sched.migrationsInFlight(), 1u);
-    EXPECT_EQ(sched.migrationsCommitted(), 0u);
+    EXPECT_EQ(sched.migrations().counters().started, 1u);
+    EXPECT_EQ(sched.migrations().inFlight(), 1u);
+    EXPECT_EQ(sched.migrations().counters().committed, 0u);
     EXPECT_EQ(b0, hot);
     EXPECT_EQ(b1, hot);
     EXPECT_EQ(sched.homeOf(p0), hot);
     EXPECT_EQ(sched.homeOf(p1), hot);
     // Exactly one of the two arrivals hit the migrating partition.
-    EXPECT_EQ(sched.forwardedRequests(), 1u);
+    EXPECT_EQ(sched.migrations().forwarding().requests, 1u);
 
     // Past the transfer's delivery tick the map flips: exactly one
     // partition re-homed, and arrivals follow the new map.
@@ -345,8 +353,8 @@ TEST(RackBalance, MigrationDrainsAtTheSourceThenSwitches)
                               keyedRequest(at + 1000, keys[1], 2001),
                               &c1),
               rack::AdmitResult::Admitted);
-    EXPECT_EQ(sched.migrationsCommitted(), 1u);
-    EXPECT_EQ(sched.migrationsInFlight(), 0u);
+    EXPECT_EQ(sched.migrations().counters().committed, 1u);
+    EXPECT_EQ(sched.migrations().inFlight(), 0u);
     const unsigned h0 = sched.homeOf(p0);
     const unsigned h1 = sched.homeOf(p1);
     EXPECT_TRUE((h0 == hot) != (h1 == hot))
@@ -395,10 +403,10 @@ TEST(RackBalance, DroppedTransferAbortsAndRetriesNextWindow)
                               &b),
               rack::AdmitResult::Admitted);
     EXPECT_EQ(b, hot);
-    EXPECT_EQ(sched.migrationsStarted(), 1u);
-    EXPECT_EQ(sched.migrationsAborted(), 1u);
-    EXPECT_EQ(sched.migrationsInFlight(), 0u);
-    EXPECT_EQ(sched.migrationsCommitted(), 0u);
+    EXPECT_EQ(sched.migrations().counters().started, 1u);
+    EXPECT_EQ(sched.migrations().counters().aborted, 1u);
+    EXPECT_EQ(sched.migrations().inFlight(), 0u);
+    EXPECT_EQ(sched.migrations().counters().committed, 0u);
     EXPECT_EQ(sched.homeOf(p0), hot);
     EXPECT_EQ(sched.homeOf(p1), hot);
 
@@ -411,14 +419,25 @@ TEST(RackBalance, DroppedTransferAbortsAndRetriesNextWindow)
                       at, keyedRequest(at, keys[i % 2], 600 + i),
                       nullptr),
                   rack::AdmitResult::Admitted);
-    EXPECT_EQ(sched.migrationsStarted(), 2u);
-    EXPECT_EQ(sched.migrationsAborted(), 1u);
-    EXPECT_EQ(sched.migrationsCommitted(), 1u);
-    EXPECT_EQ(sched.migrationsInFlight(), 0u);
+    EXPECT_EQ(sched.migrations().counters().started, 2u);
+    EXPECT_EQ(sched.migrations().counters().aborted, 1u);
+    EXPECT_EQ(sched.migrations().counters().committed, 1u);
+    EXPECT_EQ(sched.migrations().inFlight(), 0u);
     const unsigned h0 = sched.homeOf(p0);
     const unsigned h1 = sched.homeOf(p1);
     EXPECT_TRUE((h0 == hot) != (h1 == hot))
         << "the retry should have re-homed exactly one partition";
+
+    // The window dropped the state transfer, not a delta: the lost
+    // migration never opened a forwarding epoch, and the retry's
+    // epoch ran after the window closed. The counter is exact, and
+    // its stat stays unregistered while zero.
+    const auto &fwd = sched.migrations().forwarding();
+    EXPECT_GE(fwd.requests, 1u);
+    EXPECT_EQ(fwd.dropped, 0u);
+    EXPECT_EQ(sim::StatsRegistry::instance().snapshot().counters.count(
+                  "rack.deltaDropped"),
+              0u);
     sim::faultPlane().reset();
 }
 
