@@ -21,8 +21,8 @@
  *     keyed stream on a 4-DPU board steps 90% of its traffic onto
  *     the partitions co-homed on one DPU a quarter of the way in.
  *     Static placement eats the hot spot; the board balancer
- *     (BoardParams::balance) re-homes partitions live over the
- *     real DMS descriptor + link-fabric path. Gates: >= 1.3x
+ *     (ClusterTopology::boardBalance) re-homes partitions live
+ *     over the real DMS descriptor + link-fabric path. Gates: >= 1.3x
  *     throughput recovery over static, at least one committed
  *     migration, and byte-identical migrated partition images.
  *
@@ -44,6 +44,7 @@
 #include "sim/fault.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
+#include "topo/topology.hh"
 
 using namespace dpu;
 
@@ -61,10 +62,8 @@ board::ShardedSqlResult
 sqlRun(unsigned n_dpus, const board::ShardedSqlConfig &cfg)
 {
     sim::faultPlane().reset();
-    board::BoardParams bp;
-    bp.nDpus = n_dpus;
-    board::Board b(bp);
-    return board::runShardedSql(b, cfg);
+    return board::runShardedSql(
+        *topo::ClusterTopology::board(n_dpus).buildBoard(), cfg);
 }
 
 double
@@ -91,16 +90,14 @@ ParallelPoint
 parallelRun(unsigned threads, const board::ShardedSqlConfig &cfg)
 {
     sim::faultPlane().reset();
-    board::BoardParams bp;
-    bp.nDpus = 4;
-    bp.threads = threads;
-    board::Board b(bp);
+    const auto b =
+        topo::ClusterTopology::board(4).threads(threads).buildBoard();
     ParallelPoint pt;
     pt.threads = threads;
     const double t0 = wallNow();
-    pt.res = board::runShardedSql(b, cfg);
+    pt.res = board::runShardedSql(*b, cfg);
     pt.wallSec = wallNow() - t0;
-    pt.epochs = b.runnerStats().epochs;
+    pt.epochs = b->runnerStats().epochs;
     return pt;
 }
 
@@ -155,23 +152,24 @@ skewRun(bool balanced, unsigned threads, sim::Tick duration,
 {
     sim::faultPlane().reset();
     const unsigned key_parts = 16;
-    board::BoardParams bp;
-    bp.nDpus = 4;
-    bp.threads = threads;
-    bp.balance.keyPartitions = key_parts;
+    board::BalanceParams bal;
+    bal.keyPartitions = key_parts;
     if (balanced) {
-        bp.balance.window = sim::Tick(250'000'000); // 0.25 ms
-        bp.balance.ewmaAlpha = 0.7;
-        bp.balance.hotFactor = 1.1;
-        bp.balance.maxMigrationsPerWindow = 2;
-        bp.balance.minPartitionLoad = 2.0;
+        bal.window = sim::Tick(250'000'000); // 0.25 ms
+        bal.ewmaAlpha = 0.7;
+        bal.hotFactor = 1.1;
+        bal.maxMigrationsPerWindow = 2;
+        bal.minPartitionLoad = 2.0;
     }
-    board::Board b(bp);
+    const auto b = topo::ClusterTopology::board(4)
+                       .threads(threads)
+                       .boardBalance(bal)
+                       .buildBoard();
     host::OffloadParams op;
     op.nCores = 8; // the balancer's engine core stays unmanaged
     op.groupSize = 4;
     op.queueDepth = 1024; // the hot shard must queue, not reject
-    host::BoardScheduler sched(b, op);
+    host::BoardScheduler sched(*b, op);
 
     // Hot keys: the partitions co-homed on one DPU, so the step
     // lands a partition group on one shard (the rack bench's
@@ -199,7 +197,7 @@ skewRun(bool balanced, unsigned threads, sim::Tick duration,
     out.end = sched.run();
     out.sum = sched.summary();
     out.rejected = out.sum.rejected;
-    out.migrationBytes = b.fabric().migrationBytes();
+    out.migrationBytes = b->fabric().migrationBytes();
     out.reassigned = sched.partitions().reassignedCount();
     if (balanced) {
         const board::BoardBalancer &bal = *sched.balancer();
@@ -386,10 +384,8 @@ main(int argc, char **argv)
     if (*faults) {
         sim::faultPlane().reset();
         sim::faultPlane().configure(faults, fault_seed);
-        board::BoardParams bp;
-        bp.nDpus = 2;
-        board::Board fb(bp);
-        faulted = board::runShardedSql(fb, scfg);
+        faulted = board::runShardedSql(
+            *topo::ClusterTopology::board(2).buildBoard(), scfg);
         sim::faultPlane().reset();
         ran_faulted = true;
         ok = ok && faulted.valid;
@@ -459,11 +455,8 @@ main(int argc, char **argv)
         hcfg.cardinality = 1 << 10;
     }
     sim::faultPlane().reset();
-    board::BoardParams hbp;
-    hbp.nDpus = 2;
-    board::Board hb(hbp);
-    const board::DistHllResult hll =
-        board::runDistributedHll(hb, hcfg);
+    const board::DistHllResult hll = board::runDistributedHll(
+        *topo::ClusterTopology::board(2).buildBoard(), hcfg);
     ok = ok && hll.valid;
     bench::row("  estimate %.0f  true %llu  err %.2f%%  "
                "sketchExact %d  %.3g s",
@@ -477,11 +470,9 @@ main(int argc, char **argv)
     bench::header("board serving",
                   "hash-routed request mix (2 DPUs)");
     sim::faultPlane().reset();
-    board::BoardParams sbp;
-    sbp.nDpus = 2;
-    board::Board sb(sbp);
+    const auto sb = topo::ClusterTopology::board(2).buildBoard();
     host::OffloadParams op;
-    host::BoardScheduler bsched(sb, op, host::makeHashRouter());
+    host::BoardScheduler bsched(*sb, op, host::makeHashRouter());
 
     const unsigned n_jobs = smoke ? 16 : 48;
     const double rate = 4000;
@@ -489,7 +480,7 @@ main(int argc, char **argv)
     sim::Tick t = 0;
     const char *mix[] = {"filter", "groupby-low", "hll-crc",
                          "json"};
-    std::vector<std::uint64_t> per_shard(sb.nDpus(), 0);
+    std::vector<std::uint64_t> per_shard(sb->nDpus(), 0);
     for (unsigned i = 0; i < n_jobs; ++i) {
         host::JobRequest req;
         const apps::AppSpec *spec =
@@ -514,7 +505,7 @@ main(int argc, char **argv)
         bsched.enqueueAt(t, std::move(req));
     }
     bsched.start();
-    sb.run();
+    sb->run();
     bench::flushTrace();
     const host::ServingSummary sum = bsched.summary();
     ok = ok && sum.completed > 0 && sum.timedOut == 0 &&
@@ -522,7 +513,7 @@ main(int argc, char **argv)
     bench::row("  shard split: dpu0 %llu, dpu1 %llu of %u jobs",
                (unsigned long long)per_shard[0],
                (unsigned long long)per_shard[1], n_jobs);
-    for (unsigned d = 0; d < sb.nDpus(); ++d)
+    for (unsigned d = 0; d < sb->nDpus(); ++d)
         for (const host::JobRecord &r : bsched.shard(d).jobs())
             if (r.state == host::JobState::Completed && !r.valid)
                 bench::row("  INVALID: dpu%u job %llu app %s", d,

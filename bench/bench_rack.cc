@@ -98,15 +98,11 @@ traceRun(unsigned n_boards, unsigned max_boards,
     // arena (1 MB base + 8 groups x 6 MB) under full-queue load.
     soc::SocParams sp = soc::dpu40nm();
     sp.ddrBytes = std::size_t(64) << 20;
-    topo::ClusterTopology topo =
-        topo::ClusterTopology::rack(n_boards, 2)
-            .chip(sp)
-            .placement(pl)
-            .threads(threads);
-    const std::string err = topo.validate();
-    sim_assert(err.empty(), "bench topology invalid: %s",
-               err.c_str());
-    auto r = topo.buildRack();
+    auto r = topo::ClusterTopology::rack(n_boards, 2)
+                 .chip(sp)
+                 .placement(pl)
+                 .threads(threads)
+                 .buildRack();
     rack::RackScheduler sched(*r, op, pl);
 
     const unsigned stride = max_boards / n_boards;
@@ -195,14 +191,11 @@ outageRun(unsigned threads, bool smoke, unsigned crash_board,
     pl.health.downAfter = 4;
     pl.health.rejoinAfter = 3;
 
-    topo::ClusterTopology topo = topo::ClusterTopology::rack(4, 2)
-                                     .chip(sp)
-                                     .placement(pl)
-                                     .threads(threads);
-    const std::string err = topo.validate();
-    sim_assert(err.empty(), "outage topology invalid: %s",
-               err.c_str());
-    auto r = topo.buildRack();
+    auto r = topo::ClusterTopology::rack(4, 2)
+                 .chip(sp)
+                 .placement(pl)
+                 .threads(threads)
+                 .buildRack();
     rack::RackScheduler sched(*r, host::OffloadParams{}, pl);
 
     rack::TraceConfig tc;

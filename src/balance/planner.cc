@@ -13,16 +13,19 @@ Policy::validate(const char *owner) const
 {
     if (!window)
         return "";
-    const std::string o = owner;
+    // Build the owner string only on failure: a passing check
+    // allocates nothing.
     if (ewmaAlpha <= 0 || ewmaAlpha > 1)
-        return "the balancer EWMA alpha must sit in (0, 1] (" + o +
+        return "the balancer EWMA alpha must sit in (0, 1] (" +
+               std::string(owner) +
                ".ewmaAlpha = " + std::to_string(ewmaAlpha) + ")";
     if (hotFactor < 1.0)
-        return "a hotFactor below 1 flags every node hot (" + o +
+        return "a hotFactor below 1 flags every node hot (" +
+               std::string(owner) +
                ".hotFactor = " + std::to_string(hotFactor) + ")";
     if (maxMigrationsPerWindow == 0)
-        return "an enabled balancer needs a migration budget (" + o +
-               ".maxMigrationsPerWindow = 0)";
+        return "an enabled balancer needs a migration budget (" +
+               std::string(owner) + ".maxMigrationsPerWindow = 0)";
     return "";
 }
 

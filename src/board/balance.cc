@@ -284,6 +284,31 @@ class BoardBalancer::Handoff : public balance::Transport
 };
 
 // ----------------------------------------------------------------
+// BalanceParams
+// ----------------------------------------------------------------
+
+std::string
+BalanceParams::validate() const
+{
+    std::string err = Policy::validate("board BalanceParams");
+    if (!err.empty() || !window)
+        return err;
+    if (keyPartitions == 0)
+        return "the board balancer needs at least one key partition "
+               "(board BalanceParams.keyPartitions = 0)";
+    if (stagingBufBytes == 0 || stagingBufBytes > 2048)
+        return "the board balancer staging buffer must be 1..2048 "
+               "bytes (board BalanceParams.stagingBufBytes = " +
+               std::to_string(stagingBufBytes) + ")";
+    if (stateBytesPerPartition == 0 || stateBytesPerPartition % 8 != 0)
+        return "partition state bytes must be a positive multiple "
+               "of the 8-byte column width (board BalanceParams."
+               "stateBytesPerPartition = " +
+               std::to_string(stateBytesPerPartition) + ")";
+    return "";
+}
+
+// ----------------------------------------------------------------
 // BoardBalancer
 // ----------------------------------------------------------------
 
@@ -295,12 +320,8 @@ BoardBalancer::BoardBalancer(Board &brd_,
 {
     sim_assert(p.window > 0, "balancer built with window = 0");
     sim_assert(!home.empty(), "balancer needs key partitions");
-    sim_assert(p.stateBytesPerPartition > 0 &&
-                   p.stateBytesPerPartition % 8 == 0,
-               "partition state bytes must be a positive multiple "
-               "of the column width");
-    sim_assert(p.stagingBufBytes > 0 && p.stagingBufBytes <= 2048,
-               "staging buffer must be 1..2048 bytes");
+    const std::string err = p.validate();
+    sim_assert(err.empty(), "%s", err.c_str());
 
     handoff = std::make_unique<Handoff>(brd, p);
     balance::Rules rules;

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "balance/ledger.hh"
@@ -57,6 +58,10 @@ struct BalanceParams : balance::Policy
     /** Forwarding-epoch delta shipped per request absorbed at the
      *  old home while its partition is in flight. */
     std::uint64_t deltaBytesPerRequest = 256;
+
+    /** The shared Policy rules plus the hand-off layout's: "" when
+     *  usable (or window = 0); else a sentence naming the field. */
+    std::string validate() const;
 };
 
 /**

@@ -1,7 +1,5 @@
 #include "board/board.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace dpu::board {
@@ -9,7 +7,6 @@ namespace dpu::board {
 Board::Board(const BoardParams &params)
     : p(params), link(p.nDpus, p.link)
 {
-    sim_assert(p.nDpus >= 1, "a board carries at least one DPU");
     queues.reserve(p.nDpus);
     dpus.reserve(p.nDpus);
     hosts.reserve(p.nDpus);
@@ -39,10 +36,7 @@ Board::Board(const BoardParams &params)
         qs.push_back(q.get());
     sim::ParallelParams pp;
     pp.threads = p.threads;
-    pp.lookahead = p.lookahead
-                       ? std::min(p.lookahead, p.link.hopLatency)
-                       : p.link.hopLatency;
-    pp.pinCores = p.pinCores;
+    pp.lookahead = p.link.hopLatency;
     runner = std::make_unique<sim::EpochRunner>(
         std::move(qs), pp, [this](unsigned d) { link.drainInbound(d); });
 }

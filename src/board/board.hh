@@ -10,7 +10,8 @@
  * OWN sim::EventQueue partition, and a sim::EpochRunner advances the
  * partitions in conservative epochs bounded by the LinkFabric's
  * store-and-forward latency — serially with threads=1 (the default),
- * or on a worker pool with BoardParams::threads > 1. Cross-chip
+ * or on a worker pool with ClusterTopology::threads(n > 1). Boards
+ * are built only through topo::ClusterTopology. Cross-chip
  * traffic (RPC doorbells, bulk DMA) moves only through the fabric's
  * epoch mailboxes, so the simulated schedule — every stat, trace
  * record and memory image — is bit-identical at any thread count
@@ -45,24 +46,29 @@
 #include "soc/host_a9.hh"
 #include "soc/soc.hh"
 
+namespace dpu::topo {
+class ClusterTopology;
+}
+namespace dpu::rack {
+class Rack;
+}
+
 namespace dpu::board {
 
+/** Board shape, filled in and validated by topo::ClusterTopology. */
 struct BoardParams
 {
     unsigned nDpus = 2;
     soc::SocParams soc = soc::dpu40nm();
+    /** Link timing; its hop latency is also the epoch lookahead,
+     *  the largest window that keeps cross-chip delivery
+     *  conservative. */
     LinkParams link{};
     /** Bulk-transfer retransmissions before dma() reports failure. */
     unsigned dmaRetries = 4;
     /** Worker threads for the epoch runner (1 = serial epochs; the
      *  schedule is identical either way). */
     unsigned threads = 1;
-    /** Pin workers to cores (Linux only; best effort). */
-    bool pinCores = false;
-    /** Epoch lookahead in ticks; 0 picks the link hop latency, the
-     *  largest window that keeps cross-chip delivery conservative.
-     *  Values above the hop latency are clamped to it. */
-    sim::Tick lookahead = 0;
     /** Intra-board live re-sharding knobs (board/balance.hh). The
      *  default window = 0 disables the balancer entirely; the host
      *  BoardScheduler builds one when enabled. */
@@ -73,8 +79,6 @@ struct BoardParams
 class Board
 {
   public:
-    explicit Board(const BoardParams &params);
-
     unsigned nDpus() const { return unsigned(dpus.size()); }
     const BoardParams &params() const { return p; }
 
@@ -121,6 +125,11 @@ class Board
              LinkFabric::BulkHandler done = {});
 
   private:
+    friend class topo::ClusterTopology;
+    friend class rack::Rack;
+
+    explicit Board(const BoardParams &params);
+
     void dmaAttempt(unsigned src_dpu, unsigned dst_dpu,
                     mem::Addr dst_addr,
                     std::shared_ptr<std::vector<std::uint8_t>> buf,

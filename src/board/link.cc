@@ -20,13 +20,31 @@ chPrefix(unsigned s, unsigned d)
 
 } // namespace
 
+std::string
+LinkParams::validate() const
+{
+    if (gbPerSec <= 0)
+        return "the board link bandwidth must be positive "
+               "(LinkParams.gbPerSec = " +
+               std::to_string(gbPerSec) + ")";
+    if (hopLatency == 0)
+        return "the board link hop latency must be positive: a "
+               "zero-latency link collapses the epoch runner's "
+               "lookahead window";
+    if (flitBytes == 0)
+        return "the board link flit size must be positive "
+               "(LinkParams.flitBytes = 0)";
+    return "";
+}
+
 LinkFabric::LinkFabric(unsigned n_dpus, const LinkParams &params)
     : n(n_dpus), p(params), queues(n), chans(std::size_t(n) * n),
       inbox(std::size_t(n) * n), handlers(n), unhandled(n),
       stats("link")
 {
     sim_assert(n >= 1, "a board fabric needs at least one DPU");
-    sim_assert(p.gbPerSec > 0, "link bandwidth must be positive");
+    const std::string err = p.validate();
+    sim_assert(err.empty(), "%s", err.c_str());
     // Sends run in the source chip's execution domain; make sure the
     // cross-cutting planes are sized for it.
     sim::faultPlane().ensureDomains(n);

@@ -76,6 +76,9 @@ struct LinkParams
     double gbPerSec = 12.0;
     /** Minimum wire occupancy per message (header flit). */
     std::uint32_t flitBytes = 64;
+
+    /** "" when usable; else a sentence naming the offending field. */
+    std::string validate() const;
 };
 
 /**

@@ -22,9 +22,10 @@
  * locally; summary() aggregates the per-shard outcomes into one
  * board-wide ServingSummary with recomputed percentiles.
  *
- * Live re-sharding (BoardParams::balance.window > 0) layers the
- * board balancer on top: keyed requests enter through offer(),
- * which buffers them host-side; run() then drives the board in
+ * Live re-sharding (Board::params().balance.window > 0, set through
+ * ClusterTopology::boardBalance()) layers the board balancer on
+ * top: keyed requests enter through offer(), which buffers them
+ * host-side; run() then drives the board in
  * window-sized segments, forwarding each window's offers to their
  * partition's CURRENT home DPU, and closes the balancer's migration
  * ledger (balance/ledger.hh) at every boundary. A commit flips
@@ -84,7 +85,7 @@ class BoardScheduler
     // Keyed serving + live re-sharding
     // ------------------------------------------------------------
 
-    /** @p key's partition: key mod BoardParams::balance
+    /** @p key's partition: key mod Board::params().balance
      *  .keyPartitions. */
     unsigned partitionOf(std::uint64_t key) const;
 
@@ -137,7 +138,7 @@ class BoardScheduler
     /** Key-partition homes; built for every board so the static
      *  and balanced paths route identically. */
     std::unique_ptr<PartitionRouter> parts;
-    /** Live only when BoardParams::balance.window > 0. */
+    /** Live only when Board::params().balance.window > 0. */
     std::unique_ptr<board::BoardBalancer> balancer_;
     std::vector<Offer> offers;
     bool ran = false;

@@ -21,23 +21,44 @@ boardHealthName(BoardHealth s)
     return "?";
 }
 
+std::string
+HealthParams::validate() const
+{
+    if (!heartbeatPeriod)
+        return "";
+    if (ackTimeout == 0)
+        return "an enabled health monitor needs a positive ack "
+               "timeout (HealthParams.ackTimeout = 0)";
+    if (suspectAfter == 0)
+        return "the detector needs at least one miss to suspect a "
+               "board (HealthParams.suspectAfter = 0)";
+    if (downAfter < suspectAfter)
+        return "downAfter " + std::to_string(downAfter) +
+               " below suspectAfter " + std::to_string(suspectAfter) +
+               " would skip the Suspect state";
+    if (rejoinAfter == 0)
+        return "the detector needs at least one clean probe to "
+               "rejoin (HealthParams.rejoinAfter = 0)";
+    if (shedPressure <= 0 || shedPressure > 1)
+        return "shedPressure must sit in (0, 1] "
+               "(HealthParams.shedPressure = " +
+               std::to_string(shedPressure) + ")";
+    if (shedDeadlineFrac <= 0)
+        return "shedDeadlineFrac must be positive "
+               "(HealthParams.shedDeadlineFrac = " +
+               std::to_string(shedDeadlineFrac) + ")";
+    return "";
+}
+
 HealthMonitor::HealthMonitor(RackNet &net_, unsigned n_boards,
                              HealthParams p)
     : net(net_), prm(p), n(n_boards), boards(n_boards)
 {
     sim_assert(n >= 1, "health monitor needs at least one board");
+    const std::string err = prm.validate();
+    sim_assert(err.empty(), "%s", err.c_str());
     if (!monitoring())
         return;
-    sim_assert(prm.ackTimeout > 0,
-               "health: ackTimeout must be positive");
-    sim_assert(prm.suspectAfter >= 1,
-               "health: suspectAfter must be >= 1");
-    sim_assert(prm.downAfter >= prm.suspectAfter,
-               "health: downAfter (%u) below suspectAfter (%u) "
-               "would skip the Suspect state",
-               prm.downAfter, prm.suspectAfter);
-    sim_assert(prm.rejoinAfter >= 1,
-               "health: rejoinAfter must be >= 1");
     nextProbeAt = prm.heartbeatPeriod;
     stats = std::make_unique<sim::StatGroup>("health");
     stats->addFlushHook([this] { foldStats(); });

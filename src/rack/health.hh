@@ -64,6 +64,7 @@
 #include <cstdint>
 #include <memory>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "rack/net.hh"
@@ -111,6 +112,11 @@ struct HealthParams
     /** Brown-out: shed when the predicted front-end delay exceeds
      *  this fraction of the request's deadline. */
     double shedDeadlineFrac = 0.25;
+
+    /** "" when usable (or heartbeatPeriod = 0, which disables the
+     *  monitor and its validation); else a sentence naming the
+     *  offending field. */
+    std::string validate() const;
 };
 
 /** One detector state change (tests measure detection latency and

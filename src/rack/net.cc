@@ -7,12 +7,28 @@
 
 namespace dpu::rack {
 
+std::string
+NetParams::validate() const
+{
+    if (gbPerSec <= 0)
+        return "the rack network bandwidth must be positive "
+               "(NetParams.gbPerSec = " +
+               std::to_string(gbPerSec) + ")";
+    if (hopLatency == 0)
+        return "the rack network hop latency must be positive "
+               "(NetParams.hopLatency = 0)";
+    if (flitBytes == 0)
+        return "the rack network flit size must be positive "
+               "(NetParams.flitBytes = 0)";
+    return "";
+}
+
 RackNet::RackNet(unsigned n_boards, const NetParams &params)
     : n(n_boards), p(params), chans(n), stats("racknet")
 {
     sim_assert(n >= 1, "a rack network needs at least one board");
-    sim_assert(p.gbPerSec > 0,
-               "rack network bandwidth must be positive");
+    const std::string err = p.validate();
+    sim_assert(err.empty(), "%s", err.c_str());
     stats.addFlushHook([this] { foldStats(); });
 }
 

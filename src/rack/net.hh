@@ -50,6 +50,7 @@
 #define DPU_RACK_NET_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sim/stats.hh"
@@ -67,6 +68,9 @@ struct NetParams
     double gbPerSec = 4.0;
     /** Minimum wire occupancy per message (header + RDMA setup). */
     std::uint32_t flitBytes = 256;
+
+    /** "" when usable; else a sentence naming the offending field. */
+    std::string validate() const;
 };
 
 /** What a rack message carries (xfer_stat-style breakdown). */

@@ -2,17 +2,14 @@
 
 #include <algorithm>
 
-#include "sim/logging.hh"
-
 namespace dpu::rack {
 
 Rack::Rack(const RackParams &params)
     : p(params), network(p.nBoards, p.net)
 {
-    sim_assert(p.nBoards >= 1, "a rack carries at least one board");
     boards.reserve(p.nBoards);
     for (unsigned b = 0; b < p.nBoards; ++b)
-        boards.push_back(std::make_unique<board::Board>(p.board));
+        boards.emplace_back(new board::Board(p.board));
 }
 
 sim::Tick

@@ -38,11 +38,14 @@
 #include "board/board.hh"
 #include "rack/net.hh"
 
+namespace dpu::topo {
+class ClusterTopology;
+}
+
 namespace dpu::rack {
 
-/** Rack shape: N identical boards plus the inter-board network.
- *  Prefer building through topo::ClusterTopology, which validates
- *  the shape and fills this in. */
+/** Rack shape: N identical boards plus the inter-board network,
+ *  filled in and validated by topo::ClusterTopology. */
 struct RackParams
 {
     unsigned nBoards = 2;
@@ -56,8 +59,6 @@ struct RackParams
 class Rack
 {
   public:
-    explicit Rack(const RackParams &params);
-
     unsigned nBoards() const { return unsigned(boards.size()); }
     unsigned nDpus() const { return nBoards() * p.board.nDpus; }
     const RackParams &params() const { return p; }
@@ -87,6 +88,10 @@ class Rack
     bool allFinished() const;
 
   private:
+    friend class topo::ClusterTopology;
+
+    explicit Rack(const RackParams &params);
+
     RackParams p;
     RackNet network;
     std::vector<std::unique_ptr<board::Board>> boards;

@@ -58,7 +58,38 @@ class NetHandoff : public balance::Transport
     const BalanceParams &bal;
 };
 
+/** @p p, fatal unless it validates on @p n_boards boards. */
+const PlacementParams &
+validated(const PlacementParams &p, unsigned n_boards)
+{
+    const std::string err = p.validate(n_boards);
+    sim_assert(err.empty(), "%s", err.c_str());
+    return p;
+}
+
 } // namespace
+
+std::string
+PlacementParams::validate(unsigned n_boards) const
+{
+    if (keyPartitions == 0)
+        return "placement needs at least one key partition "
+               "(PlacementParams.keyPartitions = 0)";
+    if (replication == 0)
+        return "placement needs at least one replica "
+               "(PlacementParams.replication = 0)";
+    if (replication > n_boards)
+        return "replication " + std::to_string(replication) +
+               " exceeds the rack's " + std::to_string(n_boards) +
+               " board" + (n_boards == 1 ? "" : "s");
+    if ((admitWindow == 0) != (admitPerWindow == 0))
+        return "admission control needs both admitWindow and "
+               "admitPerWindow set (or neither)";
+    std::string err = balance.validate("BalanceParams");
+    if (!err.empty())
+        return err;
+    return health.validate();
+}
 
 unsigned
 keyPartition(std::uint64_t key, unsigned key_partitions)
@@ -83,31 +114,15 @@ partitionHome(unsigned partition, unsigned n_boards)
 
 RackScheduler::RackScheduler(Rack &r, host::OffloadParams per_dpu,
                              PlacementParams place_)
-    : rack(r), place(place_),
-      partMap(host::makePartitionRouter(
-          place_.keyPartitions,
-          std::min(std::max(place_.replication, 1u), r.nBoards()))),
+    : rack(r), place(validated(place_, r.nBoards())),
+      partMap(host::makePartitionRouter(place.keyPartitions,
+                                        place.replication)),
       mon(std::make_unique<HealthMonitor>(r.net(), r.nBoards(),
-                                          place_.health)),
+                                          place.health)),
       windows(r.nBoards()), outstandingRepairs(r.nBoards(), 0),
       boardAdmitted(r.nBoards(), 0), stats("rack")
 {
-    sim_assert(place.keyPartitions >= 1,
-               "placement needs at least one key partition");
     defaultDeadline = per_dpu.defaultTimeout;
-    if (mon->monitoring()) {
-        sim_assert(place.health.shedPressure > 0 &&
-                       place.health.shedPressure <= 1,
-                   "health shedPressure must be in (0, 1], got %f",
-                   place.health.shedPressure);
-        sim_assert(place.health.shedDeadlineFrac > 0,
-                   "health shedDeadlineFrac must be positive, "
-                   "got %f",
-                   place.health.shedDeadlineFrac);
-    }
-    const std::string balErr = place.balance.validate("BalanceParams");
-    sim_assert(balErr.empty(), "%s", balErr.c_str());
-
     netHandoff =
         std::make_unique<NetHandoff>(rack.net(), place.balance);
     balance::Rules rules;

@@ -112,7 +112,7 @@ struct PlacementParams
 {
     /** Key-range partitions the key space hashes onto. */
     unsigned keyPartitions = 64;
-    /** Boards per replica group (clamped to the board count). */
+    /** Boards per replica group (1..the board count). */
     unsigned replication = 2;
     /** Admission window length; 0 disables the front-end cap. */
     sim::Tick admitWindow = 0;
@@ -123,6 +123,10 @@ struct PlacementParams
     /** Failure detection / repair / brown-out;
      *  health.heartbeatPeriod = 0 keeps it all off. */
     HealthParams health{};
+
+    /** "" when usable on a rack of @p n_boards boards; else a
+     *  sentence naming the offending field. */
+    std::string validate(unsigned n_boards) const;
 };
 
 /** One front-end request: a serving job plus its placement key. */

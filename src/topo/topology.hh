@@ -1,30 +1,28 @@
 /**
  * @file
- * The unified topology builder: one validated spec for every tier.
+ * The topology builder: the one way to build a chip, board or rack.
  *
- * Before this, each tier grew its own parameter struct and
- * constructor sprawl — SocParams for a chip, BoardParams (SocParams
- * + LinkParams + runner knobs) for a board, RackParams (BoardParams
- * + NetParams) for a rack — and a caller gluing tiers together had
- * to thread the right sub-struct into the right constructor with no
- * cross-field validation. topo::ClusterTopology collapses that into
- * one fluent builder:
+ * topo::ClusterTopology holds one validated spec — the rack-shaped
+ * rack::RackParams (a board tier is a one-board rack, a chip tier a
+ * one-chip board) plus the rack's PlacementParams — and builds
+ * whichever tier it anchors:
  *
  *   auto soc  = topo::ClusterTopology::soc().chip(soc::dpu16nm());
  *   auto brd  = topo::ClusterTopology::board(4).threads(4);
  *   auto rack = topo::ClusterTopology::rack(8, 2)
- *                   .replication(2)
+ *                   .placement(place)
  *                   .network(myNet);
  *
  *   std::string err = rack.validate();   // "" when buildable
  *   auto r = rack.buildRack();           // fatal with err otherwise
  *
  * Every shape error is reported as a sentence naming the offending
- * field and tier, not an assert in some constructor three layers
- * down. The per-tier parameter structs survive as thin shims —
- * boardParams()/rackParams() project the spec onto them, and the
- * legacy construction paths (board::Board(BoardParams) etc.) keep
- * compiling for existing tests and benches.
+ * field and tier. Each parameter struct checks its own fields
+ * (LinkParams, NetParams, board::BalanceParams, HealthParams,
+ * PlacementParams::validate); validate() adds the tier-shape rules
+ * and calls them, and the components that consume a struct
+ * (BoardBalancer, RackScheduler, ...) call the same validator. The
+ * Board and Rack constructors are private to this builder.
  */
 
 #ifndef DPU_TOPO_TOPOLOGY_HH
@@ -82,31 +80,16 @@ class ClusterTopology
     /** Inter-board rack network timing. */
     ClusterTopology &network(const rack::NetParams &p);
 
-    /** Rack placement / admission knobs. */
+    /** Rack placement / admission / balance / health knobs; hand
+     *  the same struct to the rack::RackScheduler. */
     ClusterTopology &placement(const rack::PlacementParams &p);
-
-    /** Boards per replica group (shorthand into placement). */
-    ClusterTopology &replication(unsigned r);
-
-    /** Hot-shard balancer knobs (shorthand into placement). */
-    ClusterTopology &balance(const rack::BalanceParams &p);
 
     /** Intra-board live re-sharding knobs (board/balance.hh); the
      *  default window = 0 keeps it off. Board and Rack tiers. */
     ClusterTopology &boardBalance(const board::BalanceParams &p);
 
-    /** Failure-detection / repair / brown-out knobs (shorthand
-     *  into placement; heartbeatPeriod = 0 keeps it off). */
-    ClusterTopology &health(const rack::HealthParams &p);
-
     /** Epoch-runner worker threads per board. */
     ClusterTopology &threads(unsigned n);
-
-    /** Pin runner workers to cores (best effort). */
-    ClusterTopology &pinCores(bool pin);
-
-    /** Epoch lookahead override (0 = the link hop latency). */
-    ClusterTopology &lookahead(sim::Tick ticks);
 
     /** Bulk-DMA retransmit budget on the board links. */
     ClusterTopology &dmaRetries(unsigned n);
@@ -116,33 +99,19 @@ class ClusterTopology
     // ------------------------------------------------------------
 
     Tier tier() const { return tier_; }
-    unsigned nBoards() const { return nBoards_; }
-    unsigned dpusPerBoard() const { return nDpus_; }
+    unsigned nBoards() const { return spec_.nBoards; }
+    unsigned dpusPerBoard() const { return spec_.board.nDpus; }
 
     /** Total chips across the topology. */
-    unsigned totalDpus() const { return nBoards_ * nDpus_; }
+    unsigned totalDpus() const { return nBoards() * dpusPerBoard(); }
 
     /**
      * Validate the shape. @return "" when buildable, otherwise one
-     * sentence naming the offending field ("a board needs at least
-     * one DPU (nDpus = 0)", "replication 4 exceeds the rack's 2
+     * sentence naming the offending field ("a rack needs at least
+     * one board (nBoards = 0)", "replication 4 exceeds the rack's 2
      * boards", ...). build*() is fatal on a non-empty result.
      */
     std::string validate() const;
-
-    // ------------------------------------------------------------
-    // Legacy parameter-struct projections (the shim layer)
-    // ------------------------------------------------------------
-
-    const soc::SocParams &socParams() const { return soc_; }
-
-    /** Board-tier projection; valid for Board and Rack tiers. */
-    board::BoardParams boardParams() const;
-
-    /** Rack-tier projection; valid for the Rack tier. */
-    rack::RackParams rackParams() const;
-
-    rack::PlacementParams placementParams() const { return place_; }
 
     // ------------------------------------------------------------
     // Builders (fatal when validate() or the tier disagrees)
@@ -158,23 +127,15 @@ class ClusterTopology
     std::unique_ptr<rack::Rack> buildRack() const;
 
   private:
-    explicit ClusterTopology(Tier t) : tier_(t) {}
+    ClusterTopology(Tier t, unsigned n_boards, unsigned n_dpus);
 
     /** Fatal unless validate() passes and the tier is @p want. */
     void require(Tier want) const;
 
     Tier tier_;
-    unsigned nBoards_ = 1;
-    unsigned nDpus_ = 1;
-    soc::SocParams soc_ = soc::dpu40nm();
-    board::LinkParams link_{};
-    rack::NetParams net_{};
-    rack::PlacementParams place_{};
-    board::BalanceParams boardBal_{};
-    unsigned threads_ = 1;
-    bool pinCores_ = false;
-    sim::Tick lookahead_ = 0;
-    unsigned dmaRetries_ = 4;
+    /** The whole spec; the Board tier builds spec_.board. */
+    rack::RackParams spec_;
+    rack::PlacementParams place_;
 };
 
 } // namespace dpu::topo

@@ -78,22 +78,23 @@ quickJob()
     return req;
 }
 
-board::BoardParams
-balancedParams(unsigned threads)
+std::unique_ptr<board::Board>
+balancedBoard(unsigned threads)
 {
-    board::BoardParams bp;
-    bp.nDpus = kDpus;
-    bp.threads = threads;
-    bp.balance.window = kWindow;
-    bp.balance.ewmaAlpha = 0.7;
-    bp.balance.hotFactor = 1.1;
-    bp.balance.maxMigrationsPerWindow = 2;
-    bp.balance.minPartitionLoad = 2.0;
-    bp.balance.keyPartitions = kParts;
-    bp.balance.stateBytesPerPartition = kStateBytes;
-    bp.balance.stagingBufBytes = 1024; // 4 chunks per partition
-    bp.balance.migrationTimeout = 2 * kWindow;
-    return bp;
+    board::BalanceParams bal;
+    bal.window = kWindow;
+    bal.ewmaAlpha = 0.7;
+    bal.hotFactor = 1.1;
+    bal.maxMigrationsPerWindow = 2;
+    bal.minPartitionLoad = 2.0;
+    bal.keyPartitions = kParts;
+    bal.stateBytesPerPartition = kStateBytes;
+    bal.stagingBufBytes = 1024; // 4 chunks per partition
+    bal.migrationTimeout = 2 * kWindow;
+    return topo::ClusterTopology::board(kDpus)
+        .threads(threads)
+        .boardBalance(bal)
+        .buildBoard();
 }
 
 /** A balanced 4-DPU board with a skewed keyed offer stream: 90% of
@@ -108,8 +109,7 @@ struct Scenario
 
     explicit Scenario(unsigned threads)
     {
-        brd = std::make_unique<board::Board>(
-            balancedParams(threads));
+        brd = balancedBoard(threads);
         host::OffloadParams op;
         op.nCores = 8; // engine core 31 stays unmanaged
         op.groupSize = 4;
@@ -326,21 +326,19 @@ TEST(BoardBalance, SkewedRunCommitsMigrationsOffTheHotDpu)
 TEST(BoardBalance, StaticWindowZeroBoardMovesNothing)
 {
     PlaneGuard g;
-    board::BoardParams bp;
-    bp.nDpus = kDpus;
-    bp.threads = 2; // balance.window stays 0: static placement
-    board::Board b(bp);
+    // balance.window stays 0: static placement.
+    const auto b = topo::ClusterTopology::board(kDpus).threads(2).buildBoard();
     host::OffloadParams op;
     op.nCores = 8;
     op.groupSize = 4;
-    host::BoardScheduler sched(b, op);
+    host::BoardScheduler sched(*b, op);
     EXPECT_FALSE(sched.balanced());
     for (unsigned i = 0; i < 64; ++i)
         sched.offer(sim::Tick(i) * 4'000'000, i % 7, quickJob());
     sched.run();
     EXPECT_EQ(sched.partitions().reassignedCount(), 0u);
-    EXPECT_EQ(b.fabric().migrationBytes(), 0u);
-    EXPECT_EQ(b.fabric().migrationMessages(), 0u);
+    EXPECT_EQ(b->fabric().migrationBytes(), 0u);
+    EXPECT_EQ(b->fabric().migrationMessages(), 0u);
     EXPECT_EQ(sched.summary().completed, 64u);
 }
 
@@ -538,9 +536,8 @@ TEST(BoardBalance, TopologyValidatesBalancerKnobs)
 TEST(BoardBalanceDeathTest, EngineCoreManagedBySchedulerDies)
 {
     PlaneGuard g;
-    board::BoardParams bp = balancedParams(1);
-    board::Board b(bp);
+    const auto b = balancedBoard(1);
     host::OffloadParams op;
     op.nCores = 32; // claims every core, including the engine's
-    EXPECT_DEATH(host::BoardScheduler(b, op), "engine core");
+    EXPECT_DEATH(host::BoardScheduler(*b, op), "engine core");
 }

@@ -22,6 +22,7 @@
 #include "sim/fault.hh"
 #include "sim/stats.hh"
 #include "sim/stats_registry.hh"
+#include "topo/topology.hh"
 
 using namespace dpu;
 
@@ -44,18 +45,16 @@ runBoardScenario(const char *faults = nullptr,
     if (faults)
         sim::faultPlane().configure(faults, fault_seed);
 
-    board::BoardParams bp;
-    bp.nDpus = 2;
-    board::Board b(bp);
+    const auto b = topo::ClusterTopology::board(2).buildBoard();
     board::ShardedSqlConfig cfg;
     cfg.rowsPerDpu = 4096;
-    const board::ShardedSqlResult res = board::runShardedSql(b, cfg);
+    const board::ShardedSqlResult res = board::runShardedSql(*b, cfg);
     sim::faultPlane().reset();
     if (!res.valid)
         return {};
     sim::StatsSnapshot snap =
         sim::StatsRegistry::instance().snapshot();
-    snap.counters["sim.finalTick"] = b.now();
+    snap.counters["sim.finalTick"] = b->now();
     return snap;
 }
 
@@ -75,9 +74,7 @@ regenRequested()
 TEST(LinkFabric, RpcDeliveryAndChannelSerialization)
 {
     sim::faultPlane().reset();
-    board::BoardParams bp;
-    bp.nDpus = 2;
-    board::Board b(bp);
+    const auto b = topo::ClusterTopology::board(2).buildBoard();
 
     struct Arrival
     {
@@ -86,50 +83,48 @@ TEST(LinkFabric, RpcDeliveryAndChannelSerialization)
         sim::Tick at;
     };
     std::vector<Arrival> got;
-    b.fabric().onRpc(1, [&](unsigned src, std::uint64_t payload) {
-        got.push_back({src, payload, b.now()});
+    b->fabric().onRpc(1, [&](unsigned src, std::uint64_t payload) {
+        got.push_back({src, payload, b->now()});
     });
-    b.fabric().sendRpc(0, 1, 0xabcdull);
-    b.fabric().sendRpc(0, 1, 0xef01ull);
-    b.run();
+    b->fabric().sendRpc(0, 1, 0xabcdull);
+    b->fabric().sendRpc(0, 1, 0xef01ull);
+    b->run();
 
     ASSERT_EQ(got.size(), 2u);
     EXPECT_EQ(got[0].src, 0u);
     EXPECT_EQ(got[0].payload, 0xabcdull);
     EXPECT_EQ(got[1].payload, 0xef01ull);
     // Both burned at least the hop latency...
-    EXPECT_GE(got[0].at, bp.link.hopLatency);
+    EXPECT_GE(got[0].at, b->params().link.hopLatency);
     // ...and the shared (0,1) channel serialized them: the second
     // message's wire time starts after the first finishes.
     EXPECT_GT(got[1].at, got[0].at);
-    EXPECT_EQ(b.fabric().messages(), 2u);
-    EXPECT_GT(b.fabric().utilization(0, 1), 0.0);
-    EXPECT_EQ(b.fabric().utilization(1, 0), 0.0);
+    EXPECT_EQ(b->fabric().messages(), 2u);
+    EXPECT_GT(b->fabric().utilization(0, 1), 0.0);
+    EXPECT_EQ(b->fabric().utilization(1, 0), 0.0);
 }
 
 TEST(LinkFabric, BulkDmaCopiesBetweenDdrSpaces)
 {
     sim::faultPlane().reset();
-    board::BoardParams bp;
-    bp.nDpus = 2;
-    board::Board b(bp);
+    const auto b = topo::ClusterTopology::board(2).buildBoard();
 
     std::vector<std::uint8_t> pattern(4096);
     for (std::size_t i = 0; i < pattern.size(); ++i)
         pattern[i] = std::uint8_t(i * 7 + 3);
-    b.dpu(0).memory().store().write(0x2000, pattern.data(),
-                                    pattern.size());
+    b->dpu(0).memory().store().write(0x2000, pattern.data(),
+                                     pattern.size());
 
     bool ok = false;
-    b.dma(0, 0x2000, 1, 0x9000, pattern.size(),
-          [&](bool k) { ok = k; });
-    b.run();
+    b->dma(0, 0x2000, 1, 0x9000, pattern.size(),
+           [&](bool k) { ok = k; });
+    b->run();
 
     EXPECT_TRUE(ok);
     std::vector<std::uint8_t> got(pattern.size());
-    b.dpu(1).memory().store().read(0x9000, got.data(), got.size());
+    b->dpu(1).memory().store().read(0x9000, got.data(), got.size());
     EXPECT_EQ(got, pattern);
-    EXPECT_GE(b.fabric().bytesCarried(), pattern.size());
+    EXPECT_GE(b->fabric().bytesCarried(), pattern.size());
 }
 
 TEST(LinkFabric, DroppedBulkIsRetriedTransparently)
@@ -138,47 +133,42 @@ TEST(LinkFabric, DroppedBulkIsRetriedTransparently)
     // Exactly the first link message is lost; the Board's bounded
     // retransmit must deliver on the second attempt.
     sim::faultPlane().configure("link.drop@nth=1,max=1", 7);
-    board::BoardParams bp;
-    bp.nDpus = 2;
-    board::Board b(bp);
+    const auto b = topo::ClusterTopology::board(2).buildBoard();
 
     std::vector<std::uint8_t> pattern(512, 0x5a);
-    b.dpu(0).memory().store().write(0x2000, pattern.data(),
-                                    pattern.size());
+    b->dpu(0).memory().store().write(0x2000, pattern.data(),
+                                     pattern.size());
     bool ok = false;
-    b.dma(0, 0x2000, 1, 0x9000, pattern.size(),
-          [&](bool k) { ok = k; });
-    b.run();
+    b->dma(0, 0x2000, 1, 0x9000, pattern.size(),
+           [&](bool k) { ok = k; });
+    b->run();
     sim::faultPlane().reset();
 
     EXPECT_TRUE(ok);
     std::vector<std::uint8_t> got(pattern.size());
-    b.dpu(1).memory().store().read(0x9000, got.data(), got.size());
+    b->dpu(1).memory().store().read(0x9000, got.data(), got.size());
     EXPECT_EQ(got, pattern);
-    EXPECT_EQ(b.fabric().statGroup().get("bulkRetries"), 1u);
+    EXPECT_EQ(b->fabric().statGroup().get("bulkRetries"), 1u);
 }
 
 TEST(LinkFabric, ExhaustedRetriesReportFailure)
 {
     sim::faultPlane().reset();
     sim::faultPlane().configure("link.drop@p=1", 7);
-    board::BoardParams bp;
-    bp.nDpus = 2;
-    bp.dmaRetries = 2;
-    board::Board b(bp);
+    const auto b = topo::ClusterTopology::board(2).dmaRetries(2).buildBoard();
 
-    b.dpu(0).memory().store().store<std::uint32_t>(0x2000, 17);
+    b->dpu(0).memory().store().store<std::uint32_t>(0x2000, 17);
     bool called = false, ok = true;
-    b.dma(0, 0x2000, 1, 0x9000, 4, [&](bool k) {
+    b->dma(0, 0x2000, 1, 0x9000, 4, [&](bool k) {
         called = true;
         ok = k;
     });
-    b.run();
+    b->run();
     sim::faultPlane().reset();
 
     EXPECT_TRUE(called);
     EXPECT_FALSE(ok);
-    EXPECT_EQ(b.fabric().statGroup().get("bulkFailed"), 1u);
+    EXPECT_EQ(b->fabric().statGroup().get("bulkFailed"), 1u);
 }
 
 // ----------------------------------------------------------------
@@ -189,12 +179,10 @@ TEST(BoardApps, ShardedSqlValidAtEveryBoardSize)
 {
     for (unsigned n : {1u, 2u, 4u}) {
         sim::faultPlane().reset();
-        board::BoardParams bp;
-        bp.nDpus = n;
-        board::Board b(bp);
+        const auto b = topo::ClusterTopology::board(n).buildBoard();
         board::ShardedSqlConfig cfg;
         cfg.rowsPerDpu = 4096;
-        const auto res = board::runShardedSql(b, cfg);
+        const auto res = board::runShardedSql(*b, cfg);
         EXPECT_TRUE(res.valid) << n << " DPUs";
         EXPECT_EQ(res.rows, std::uint64_t(4096) * n);
         EXPECT_GT(res.seconds, 0.0);
@@ -210,13 +198,11 @@ TEST(BoardApps, ShardedSqlValidAtEveryBoardSize)
 TEST(BoardApps, DistributedHllMergesExactly)
 {
     sim::faultPlane().reset();
-    board::BoardParams bp;
-    bp.nDpus = 2;
-    board::Board b(bp);
+    const auto b = topo::ClusterTopology::board(2).buildBoard();
     board::DistHllConfig cfg;
     cfg.elementsPerDpu = 1 << 12;
     cfg.cardinality = 1 << 10;
-    const auto res = board::runDistributedHll(b, cfg);
+    const auto res = board::runDistributedHll(*b, cfg);
     EXPECT_TRUE(res.valid);
     EXPECT_TRUE(res.sketchExact);
     EXPECT_GT(res.trueDistinct, 0u);
@@ -230,10 +216,8 @@ TEST(BoardApps, DistributedHllMergesExactly)
 TEST(BoardScheduler, HashRoutingIsDeterministicAndSpread)
 {
     sim::faultPlane().reset();
-    board::BoardParams bp;
-    bp.nDpus = 4;
-    board::Board b(bp);
-    host::BoardScheduler sched(b, host::OffloadParams{},
+    const auto b = topo::ClusterTopology::board(4).buildBoard();
+    host::BoardScheduler sched(*b, host::OffloadParams{},
                                host::makeHashRouter());
 
     std::vector<unsigned> counts(4, 0);
@@ -255,10 +239,8 @@ TEST(BoardScheduler, HashRoutingIsDeterministicAndSpread)
 TEST(BoardScheduler, RoundRobinStripesArrivals)
 {
     sim::faultPlane().reset();
-    board::BoardParams bp;
-    bp.nDpus = 2;
-    board::Board b(bp);
-    host::BoardScheduler sched(b, host::OffloadParams{},
+    const auto b = topo::ClusterTopology::board(2).buildBoard();
+    host::BoardScheduler sched(*b, host::OffloadParams{},
                                host::makeRoundRobinRouter());
     host::JobRequest req;
     req.app = "filter";

@@ -26,6 +26,7 @@
 #include "sim/stats.hh"
 #include "sim/stats_registry.hh"
 #include "sim/trace.hh"
+#include "topo/topology.hh"
 
 using namespace dpu;
 
@@ -55,25 +56,24 @@ runMixedScenario(unsigned threads, const char *faults = nullptr,
         sim::faultPlane().configure(faults, fault_seed);
     sim::tracer().arm(std::size_t(1) << 14);
 
-    board::BoardParams bp;
-    bp.nDpus = 4;
-    bp.threads = threads;
-    board::Board b(bp);
+    const auto b = topo::ClusterTopology::board(4)
+        .threads(threads)
+        .buildBoard();
 
     board::ShardedSqlConfig scfg;
     scfg.rowsPerDpu = 2048;
-    const auto sres = board::runShardedSql(b, scfg);
+    const auto sres = board::runShardedSql(*b, scfg);
     EXPECT_TRUE(sres.valid) << "SQL invalid at threads=" << threads;
 
     board::DistHllConfig hcfg;
     hcfg.elementsPerDpu = 1 << 12;
     hcfg.cardinality = 1 << 10;
-    const auto hres = board::runDistributedHll(b, hcfg);
+    const auto hres = board::runDistributedHll(*b, hcfg);
     EXPECT_TRUE(hres.valid) << "HLL invalid at threads=" << threads;
 
     RunResult out;
     out.snap = sim::StatsRegistry::instance().snapshot();
-    out.snap.counters["sim.finalTick"] = b.now();
+    out.snap.counters["sim.finalTick"] = b->now();
     std::ostringstream os;
     sim::tracer().exportJson(os);
     out.trace = os.str();
@@ -89,18 +89,17 @@ sim::StatsSnapshot
 runGoldenScenario(unsigned threads)
 {
     sim::faultPlane().reset();
-    board::BoardParams bp;
-    bp.nDpus = 2;
-    bp.threads = threads;
-    board::Board b(bp);
+    const auto b = topo::ClusterTopology::board(2)
+        .threads(threads)
+        .buildBoard();
     board::ShardedSqlConfig cfg;
     cfg.rowsPerDpu = 4096;
-    const auto res = board::runShardedSql(b, cfg);
+    const auto res = board::runShardedSql(*b, cfg);
     if (!res.valid)
         return {};
     sim::StatsSnapshot snap =
         sim::StatsRegistry::instance().snapshot();
-    snap.counters["sim.finalTick"] = b.now();
+    snap.counters["sim.finalTick"] = b->now();
     return snap;
 }
 
@@ -164,28 +163,27 @@ TEST(ParallelDeterminism, MemoryImagesMatchSerialAcrossThreads)
     // space must not depend on the thread count either.
     auto image = [](unsigned threads) {
         sim::faultPlane().reset();
-        board::BoardParams bp;
-        bp.nDpus = 4;
-        bp.threads = threads;
-        board::Board b(bp);
+        const auto b = topo::ClusterTopology::board(4)
+            .threads(threads)
+            .buildBoard();
         // All-to-all pattern exchange, issued host-phase.
         std::vector<std::uint8_t> out;
         for (unsigned s = 0; s < 4; ++s) {
             std::vector<std::uint8_t> pat(1024);
             for (std::size_t i = 0; i < pat.size(); ++i)
                 pat[i] = std::uint8_t(s * 37 + i * 11);
-            b.dpu(s).memory().store().write(0x2000, pat.data(),
-                                            pat.size());
+            b->dpu(s).memory().store().write(0x2000, pat.data(),
+                                             pat.size());
             for (unsigned d = 0; d < 4; ++d)
                 if (d != s)
-                    b.dma(s, 0x2000, d, 0x9000 + s * 0x1000,
-                          pat.size());
+                    b->dma(s, 0x2000, d, 0x9000 + s * 0x1000,
+                           pat.size());
         }
-        b.run();
+        b->run();
         for (unsigned d = 0; d < 4; ++d) {
             std::vector<std::uint8_t> got(4 * 0x1000);
-            b.dpu(d).memory().store().read(0x9000, got.data(),
-                                           got.size());
+            b->dpu(d).memory().store().read(0x9000, got.data(),
+                                            got.size());
             out.insert(out.end(), got.begin(), got.end());
         }
         return out;

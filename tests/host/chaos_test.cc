@@ -31,6 +31,7 @@
 #include "sim/stats_registry.hh"
 #include "soc/host_a9.hh"
 #include "soc/soc.hh"
+#include "topo/topology.hh"
 
 using namespace dpu;
 using namespace dpu::host;
@@ -221,16 +222,15 @@ runBoardChaos(std::uint64_t seed, unsigned threads)
 
     ChaosOutcome out;
     {
-        board::BoardParams bp;
-        bp.nDpus = 2;
-        bp.threads = threads;
-        board::Board b(bp);
+        const auto b = topo::ClusterTopology::board(2)
+            .threads(threads)
+            .buildBoard();
         OffloadParams p;
         p.nCores = 16;
         p.groupSize = 4;
         p.maxAttempts = 2;
         p.defaultTimeout = sim::Tick(2e9);
-        BoardScheduler sched(b, p, makeRoundRobinRouter());
+        BoardScheduler sched(*b, p, makeRoundRobinRouter());
 
         sim::Rng rng(seed ^ 0xc0ffee);
         sim::Tick t = 0;
@@ -241,11 +241,11 @@ runBoardChaos(std::uint64_t seed, unsigned threads)
         }
 
         sched.start();
-        b.runFor(sim::Tick(1e12));
+        b->runFor(sim::Tick(1e12));
 
         out.hostFinished = true;
-        for (unsigned d = 0; d < b.nDpus(); ++d)
-            out.hostFinished &= b.host(d).finished();
+        for (unsigned d = 0; d < b->nDpus(); ++d)
+            out.hostFinished &= b->host(d).finished();
         out.sum = sched.summary();
         for (unsigned d = 0; d < sched.nShards(); ++d)
             for (const JobRecord &rec : sched.shard(d).jobs()) {
@@ -253,7 +253,7 @@ runBoardChaos(std::uint64_t seed, unsigned threads)
                 out.causes.push_back(rec.cause);
             }
         out.snap = sim::StatsRegistry::instance().snapshot();
-        out.snap.counters["sim.finalTick"] = b.now();
+        out.snap.counters["sim.finalTick"] = b->now();
     }
     sim::faultPlane().reset();
     return out;

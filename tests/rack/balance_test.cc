@@ -68,14 +68,12 @@ keyedRequest(sim::Tick at, std::uint64_t key, std::uint64_t seed)
 
 /** A 4-board rack with one DPU per board (protocol tests only —
  *  the boards never run). */
-rack::RackParams
+std::unique_ptr<rack::Rack>
 smallRack()
 {
-    rack::RackParams rp;
-    rp.nBoards = 4;
-    rp.board.nDpus = 1;
-    rp.board.soc.ddrBytes = std::size_t(16) << 20;
-    return rp;
+    soc::SocParams sp = soc::dpu40nm();
+    sp.ddrBytes = std::size_t(16) << 20;
+    return topo::ClusterTopology::rack(4, 1).chip(sp).buildRack();
 }
 
 /** Balancer knobs the protocol tests share: 1 ms windows, raw
@@ -109,20 +107,19 @@ runBalancedScenario(unsigned threads, const char *faults = nullptr,
     soc::SocParams sp = soc::dpu40nm();
     sp.ddrBytes = std::size_t(64) << 20;
 
-    rack::BalanceParams bal;
-    bal.window = 500 * kUs;
-    bal.ewmaAlpha = 0.7;
-    bal.hotFactor = 1.1;
-    bal.maxMigrationsPerWindow = 2;
-    bal.minPartitionLoad = 2.0;
+    rack::PlacementParams place;
+    place.balance.window = 500 * kUs;
+    place.balance.ewmaAlpha = 0.7;
+    place.balance.hotFactor = 1.1;
+    place.balance.maxMigrationsPerWindow = 2;
+    place.balance.minPartitionLoad = 2.0;
 
-    auto spec = topo::ClusterTopology::rack(4, 1)
-                    .chip(sp)
-                    .threads(threads)
-                    .balance(bal);
-    auto r = spec.buildRack();
-    rack::RackScheduler sched(*r, host::OffloadParams{},
-                              spec.placementParams());
+    auto r = topo::ClusterTopology::rack(4, 1)
+                 .chip(sp)
+                 .threads(threads)
+                 .placement(place)
+                 .buildRack();
+    rack::RackScheduler sched(*r, host::OffloadParams{}, place);
 
     rack::TraceConfig tc;
     tc.ratePerSec = 30000;
@@ -132,8 +129,7 @@ runBalancedScenario(unsigned threads, const char *faults = nullptr,
     tc.seed = 33;
     tc.hotStepAtSec = 0.001;
     tc.hotStepFraction = 0.9;
-    tc.hotStepKeys = coHomedKeys(
-        3, spec.placementParams().keyPartitions, 4);
+    tc.hotStepKeys = coHomedKeys(3, place.keyPartitions, 4);
 
     const std::vector<rack::TraceEvent> trace =
         rack::generateTrace(tc);
@@ -293,13 +289,13 @@ TEST(MigrationPlan, NeedsAtLeastTwoBoardsAndRealLoad)
 TEST(RackBalance, MigrationDrainsAtTheSourceThenSwitches)
 {
     sim::faultPlane().reset();
-    rack::Rack r(smallRack());
+    const auto r = smallRack();
     const rack::PlacementParams place = balancedPlace();
-    rack::RackScheduler sched(r, {}, place);
+    rack::RackScheduler sched(*r, {}, place);
 
     unsigned hot = 0;
     const auto keys =
-        coHomedKeys(2, place.keyPartitions, r.nBoards(), &hot);
+        coHomedKeys(2, place.keyPartitions, r->nBoards(), &hot);
     ASSERT_EQ(keys.size(), 2u);
     const unsigned p0 = sched.partitionOf(keys[0]);
     const unsigned p1 = sched.partitionOf(keys[1]);
@@ -362,7 +358,7 @@ TEST(RackBalance, MigrationDrainsAtTheSourceThenSwitches)
     EXPECT_EQ(c0, h0);
     EXPECT_EQ(c1, h1);
     // The hand-off payload rode the net as Migration traffic.
-    EXPECT_GT(r.net().migrationBytes(),
+    EXPECT_GT(r->net().migrationBytes(),
               place.balance.stateBytesBase);
     sim::faultPlane().reset();
 }
@@ -375,13 +371,13 @@ TEST(RackBalance, DroppedTransferAbortsAndRetriesNextWindow)
     // request delivery falls inside the window.
     sim::faultPlane().configure(
         "rack.netDrop@p=1,from=900000000,to=1100000000", 42);
-    rack::Rack r(smallRack());
+    const auto r = smallRack();
     const rack::PlacementParams place = balancedPlace();
-    rack::RackScheduler sched(r, {}, place);
+    rack::RackScheduler sched(*r, {}, place);
 
     unsigned hot = 0;
     const auto keys =
-        coHomedKeys(2, place.keyPartitions, r.nBoards(), &hot);
+        coHomedKeys(2, place.keyPartitions, r->nBoards(), &hot);
     ASSERT_EQ(keys.size(), 2u);
     const unsigned p0 = sched.partitionOf(keys[0]);
     const unsigned p1 = sched.partitionOf(keys[1]);

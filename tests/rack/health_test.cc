@@ -67,14 +67,12 @@ keyedRequest(sim::Tick at, std::uint64_t key, std::uint64_t seed)
 
 /** A 4-board rack with one DPU per board (protocol tests only —
  *  the boards never run). */
-rack::RackParams
+std::unique_ptr<rack::Rack>
 smallRack()
 {
-    rack::RackParams rp;
-    rp.nBoards = 4;
-    rp.board.nDpus = 1;
-    rp.board.soc.ddrBytes = std::size_t(16) << 20;
-    return rp;
+    soc::SocParams sp = soc::dpu40nm();
+    sp.ddrBytes = std::size_t(16) << 20;
+    return topo::ClusterTopology::rack(4, 1).chip(sp).buildRack();
 }
 
 /** Detection knobs the integration tests share: 200 us heartbeat,
@@ -134,22 +132,21 @@ runMonitoredScenario(
     soc::SocParams sp = soc::dpu40nm();
     sp.ddrBytes = std::size_t(64) << 20;
 
-    auto spec = topo::ClusterTopology::rack(4, 1)
-                    .chip(sp)
-                    .threads(threads)
-                    .health(hp);
+    rack::PlacementParams place;
+    place.health = hp;
     if (skew) {
-        rack::BalanceParams bal;
-        bal.window = 500 * kUs;
-        bal.ewmaAlpha = 0.7;
-        bal.hotFactor = 1.1;
-        bal.maxMigrationsPerWindow = 2;
-        bal.minPartitionLoad = 2.0;
-        spec.balance(bal);
+        place.balance.window = 500 * kUs;
+        place.balance.ewmaAlpha = 0.7;
+        place.balance.hotFactor = 1.1;
+        place.balance.maxMigrationsPerWindow = 2;
+        place.balance.minPartitionLoad = 2.0;
     }
-    auto r = spec.buildRack();
-    rack::RackScheduler sched(*r, host::OffloadParams{},
-                              spec.placementParams());
+    auto r = topo::ClusterTopology::rack(4, 1)
+                 .chip(sp)
+                 .threads(threads)
+                 .placement(place)
+                 .buildRack();
+    rack::RackScheduler sched(*r, host::OffloadParams{}, place);
 
     rack::TraceConfig tc;
     tc.ratePerSec = 25000;
@@ -160,8 +157,7 @@ runMonitoredScenario(
     if (skew) {
         tc.hotStepAtSec = 0.001;
         tc.hotStepFraction = 0.9;
-        tc.hotStepKeys = coHomedKeys(
-            3, spec.placementParams().keyPartitions, 4);
+        tc.hotStepKeys = coHomedKeys(3, place.keyPartitions, 4);
     }
 
     const std::vector<rack::TraceEvent> trace =
@@ -423,10 +419,10 @@ TEST(HealthIntegration, TransientOutageRejoinsThroughProbation)
 TEST(BrownOut, SuspectReplicasShedOnlyDeadlineRiskyRequests)
 {
     sim::faultPlane().reset();
-    rack::Rack r(smallRack());
+    const auto r = smallRack();
     rack::PlacementParams place;
     place.health = quietMonitor();
-    rack::RackScheduler sched(r, {}, place);
+    rack::RackScheduler sched(*r, {}, place);
 
     const std::uint64_t key = 0;
     const std::vector<unsigned> reps = sched.replicasOf(key);
@@ -469,14 +465,14 @@ TEST(BrownOut, SuspectReplicasShedOnlyDeadlineRiskyRequests)
 TEST(RackAdmissionWindow, DepthStaysEmptyWithTheCapDisabled)
 {
     sim::faultPlane().reset();
-    rack::Rack r(smallRack());
-    rack::RackScheduler sched(r, {}, rack::PlacementParams{});
+    const auto r = smallRack();
+    rack::RackScheduler sched(*r, {}, rack::PlacementParams{});
     for (unsigned i = 0; i < 300; ++i) {
         const sim::Tick t = sim::Tick(i + 1) * 10 * kUs;
         ASSERT_EQ(sched.enqueueAt(t, keyedRequest(t, i, i)),
                   rack::AdmitResult::Admitted);
     }
-    for (unsigned b = 0; b < r.nBoards(); ++b)
+    for (unsigned b = 0; b < r->nBoards(); ++b)
         EXPECT_EQ(sched.admitWindowDepth(b), 0u)
             << "board " << b
             << " accumulated window state with the cap disabled";
@@ -485,15 +481,15 @@ TEST(RackAdmissionWindow, DepthStaysEmptyWithTheCapDisabled)
 TEST(RackAdmissionWindow, DepthIsBoundedByThePerWindowCap)
 {
     sim::faultPlane().reset();
-    rack::Rack r(smallRack());
+    const auto r = smallRack();
     rack::PlacementParams place;
     place.admitWindow = kMs;
     place.admitPerWindow = 4;
-    rack::RackScheduler sched(r, {}, place);
+    rack::RackScheduler sched(*r, {}, place);
     for (unsigned i = 0; i < 300; ++i) {
         const sim::Tick t = sim::Tick(i + 1) * 10 * kUs;
         sched.enqueueAt(t, keyedRequest(t, i, i));
-        for (unsigned b = 0; b < r.nBoards(); ++b)
+        for (unsigned b = 0; b < r->nBoards(); ++b)
             ASSERT_LE(sched.admitWindowDepth(b),
                       std::size_t(place.admitPerWindow))
                 << "board " << b << " at tick " << t;
@@ -507,11 +503,11 @@ TEST(RackAdmissionWindow, DepthIsBoundedByThePerWindowCap)
 TEST(RackAttribution, AdmissionReroutesAreNotFailovers)
 {
     sim::faultPlane().reset();
-    rack::Rack r(smallRack());
+    const auto r = smallRack();
     rack::PlacementParams place;
     place.admitWindow = kMs;
     place.admitPerWindow = 1;
-    rack::RackScheduler sched(r, {}, place);
+    rack::RackScheduler sched(*r, {}, place);
 
     const std::uint64_t key = 0;
     const std::vector<unsigned> reps = sched.replicasOf(key);
@@ -538,8 +534,8 @@ TEST(RackAttribution, AdmissionReroutesAreNotFailovers)
 TEST(RackAttribution, OutageFailoversStayFailovers)
 {
     sim::faultPlane().reset();
-    rack::Rack r(smallRack());
-    rack::RackScheduler sched(r, {}, rack::PlacementParams{});
+    const auto r = smallRack();
+    rack::RackScheduler sched(*r, {}, rack::PlacementParams{});
     const std::vector<unsigned> reps = sched.replicasOf(0);
     ASSERT_EQ(reps.size(), 2u);
     const std::string spec = "rack.boardDown@p=1,unit=" +

@@ -87,6 +87,18 @@ runRackScenario(unsigned threads = 1, const char *faults = nullptr,
     return snap;
 }
 
+/** @p n_boards boards of @p dpus_per_board 16 MB-DDR chips
+ *  (protocol tests only — the boards never run). */
+std::unique_ptr<rack::Rack>
+smallRack(unsigned n_boards, unsigned dpus_per_board = 2)
+{
+    soc::SocParams sp = soc::dpu40nm();
+    sp.ddrBytes = std::size_t(16) << 20;
+    return topo::ClusterTopology::rack(n_boards, dpus_per_board)
+        .chip(sp)
+        .buildRack();
+}
+
 bool
 regenRequested()
 {
@@ -155,17 +167,10 @@ TEST(ArrivalTrace, ZipfConcentratesMassOnHotKeys)
 TEST(RackPlacement, ReplicaGroupIsPureAndIndependentOfDpuCount)
 {
     sim::faultPlane().reset();
-    rack::RackParams small;
-    small.nBoards = 4;
-    small.board.nDpus = 1;
-    small.board.soc.ddrBytes = std::size_t(16) << 20;
-    rack::RackParams big;
-    big.nBoards = 4;
-    big.board.nDpus = 2;
-    big.board.soc.ddrBytes = std::size_t(16) << 20;
-    rack::Rack rs(small), rb(big);
-    rack::RackScheduler ss(rs, {}, {});
-    rack::RackScheduler sb(rb, {}, {});
+    const auto rs = smallRack(4, 1);
+    const auto rb = smallRack(4, 2);
+    rack::RackScheduler ss(*rs, {}, {});
+    rack::RackScheduler sb(*rb, {}, {});
     for (std::uint64_t k = 0; k < 256; ++k) {
         EXPECT_EQ(ss.partitionOf(k), sb.partitionOf(k));
         EXPECT_EQ(ss.primaryOf(k), sb.primaryOf(k));
@@ -185,15 +190,12 @@ TEST(RackPlacement, ReplicaGroupIsPureAndIndependentOfDpuCount)
 TEST(RackAdmission, WindowCapShedsExcessLoad)
 {
     sim::faultPlane().reset();
-    rack::RackParams rp;
-    rp.nBoards = 2;
-    rp.board.soc.ddrBytes = std::size_t(16) << 20;
-    rack::Rack r(rp);
+    const auto r = smallRack(2);
     rack::PlacementParams place;
     place.replication = 2;
     place.admitWindow = sim::Tick(1'000'000'000); // 1 ms
     place.admitPerWindow = 2;
-    rack::RackScheduler sched(r, {}, place);
+    rack::RackScheduler sched(*r, {}, place);
 
     // 16 arrivals inside one window, all to the same key: the
     // replica pair can admit 2 each, the rest are rejected.
@@ -222,13 +224,10 @@ TEST(RackFailover, BoardOutageRedirectsToTheReplica)
     // Board 0 is down for the whole run.
     sim::faultPlane().configure(
         "rack.boardDown@p=1,unit=0,to=100000000000", 42);
-    rack::RackParams rp;
-    rp.nBoards = 2;
-    rp.board.soc.ddrBytes = std::size_t(16) << 20;
-    rack::Rack r(rp);
+    const auto r = smallRack(2);
     rack::PlacementParams place;
     place.replication = 2;
-    rack::RackScheduler sched(r, {}, place);
+    rack::RackScheduler sched(*r, {}, place);
 
     unsigned toBoard1 = 0, offered = 0;
     for (std::uint64_t k = 0; k < 64; ++k) {
@@ -256,13 +255,10 @@ TEST(RackFailover, ReplicationOneTurnsOutageIntoLoss)
     sim::faultPlane().reset();
     sim::faultPlane().configure(
         "rack.boardDown@p=1,unit=0,to=100000000000", 42);
-    rack::RackParams rp;
-    rp.nBoards = 2;
-    rp.board.soc.ddrBytes = std::size_t(16) << 20;
-    rack::Rack r(rp);
+    const auto r = smallRack(2);
     rack::PlacementParams place;
     place.replication = 1;
-    rack::RackScheduler sched(r, {}, place);
+    rack::RackScheduler sched(*r, {}, place);
 
     unsigned lost = 0, admitted = 0;
     for (std::uint64_t k = 0; k < 64; ++k) {
@@ -286,13 +282,10 @@ TEST(RackNetFaults, DropsFailOverAndExhaustionIsNetLost)
 {
     sim::faultPlane().reset();
     sim::faultPlane().configure("rack.netDrop@p=1", 42);
-    rack::RackParams rp;
-    rp.nBoards = 2;
-    rp.board.soc.ddrBytes = std::size_t(16) << 20;
-    rack::Rack r(rp);
+    const auto r = smallRack(2);
     rack::PlacementParams place;
     place.replication = 2;
-    rack::RackScheduler sched(r, {}, place);
+    rack::RackScheduler sched(*r, {}, place);
     rack::RackRequest req = rack::makeRequest(
         {0, 3, 0, 77}, rack::servingMix());
     // p=1 drop on every delivery: both replicas burn wire time and
@@ -302,7 +295,7 @@ TEST(RackNetFaults, DropsFailOverAndExhaustionIsNetLost)
     const rack::RackSummary sum = sched.summary();
     EXPECT_EQ(sum.netLost, 1u);
     EXPECT_EQ(sum.admitted, 0u);
-    EXPECT_EQ(r.net().drops(), 2u);
+    EXPECT_EQ(r->net().drops(), 2u);
     sim::faultPlane().reset();
 }
 
@@ -310,13 +303,10 @@ TEST(RackNetFaults, DroppedBytesNeverCountAsCarried)
 {
     sim::faultPlane().reset();
     sim::faultPlane().configure("rack.netDrop@p=1", 42);
-    rack::RackParams rp;
-    rp.nBoards = 2;
-    rp.board.soc.ddrBytes = std::size_t(16) << 20;
-    rack::Rack r(rp);
+    const auto r = smallRack(2);
     rack::PlacementParams place;
     place.replication = 2;
-    rack::RackScheduler sched(r, {}, place);
+    rack::RackScheduler sched(*r, {}, place);
     rack::RackRequest req = rack::makeRequest(
         {0, 3, 0, 77}, rack::servingMix());
     const std::uint64_t payload = req.bytes;
@@ -325,11 +315,11 @@ TEST(RackNetFaults, DroppedBytesNeverCountAsCarried)
     // Both replica attempts burned wire time but carried nothing:
     // the payload lands in droppedBytes, never in the carried /
     // utilization accounting (the xfer_stat split).
-    EXPECT_EQ(r.net().messages(), 2u);
-    EXPECT_EQ(r.net().drops(), 2u);
-    EXPECT_EQ(r.net().droppedBytes(), 2 * payload);
-    EXPECT_EQ(r.net().bytesCarried(), 0u);
-    EXPECT_EQ(r.net().migrationBytes(), 0u);
+    EXPECT_EQ(r->net().messages(), 2u);
+    EXPECT_EQ(r->net().drops(), 2u);
+    EXPECT_EQ(r->net().droppedBytes(), 2 * payload);
+    EXPECT_EQ(r->net().bytesCarried(), 0u);
+    EXPECT_EQ(r->net().migrationBytes(), 0u);
     sim::faultPlane().reset();
 
     // With the plane quiet the next delivery is carried normally.
@@ -338,8 +328,8 @@ TEST(RackNetFaults, DroppedBytesNeverCountAsCarried)
     const std::uint64_t okBytes = ok.bytes;
     EXPECT_EQ(sched.enqueueAt(1000, std::move(ok)),
               rack::AdmitResult::Admitted);
-    EXPECT_EQ(r.net().bytesCarried(), okBytes);
-    EXPECT_EQ(r.net().droppedBytes(), 2 * payload);
+    EXPECT_EQ(r->net().bytesCarried(), okBytes);
+    EXPECT_EQ(r->net().droppedBytes(), 2 * payload);
 }
 
 TEST(RackAdmission, WindowBoundaryIsHalfOpen)
@@ -349,15 +339,12 @@ TEST(RackAdmission, WindowBoundaryIsHalfOpen)
     // fix the front boundary was kept too, so a cap of 1 per 1000
     // ticks actually spanned 1001 ticks.
     sim::faultPlane().reset();
-    rack::RackParams rp;
-    rp.nBoards = 2;
-    rp.board.soc.ddrBytes = std::size_t(16) << 20;
-    rack::Rack r(rp);
+    const auto r = smallRack(2);
     rack::PlacementParams place;
     place.replication = 1;
     place.admitWindow = 1000;
     place.admitPerWindow = 1;
-    rack::RackScheduler sched(r, {}, place);
+    rack::RackScheduler sched(*r, {}, place);
 
     auto offer = [&](sim::Tick at) {
         return sched.enqueueAt(

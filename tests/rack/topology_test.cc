@@ -1,12 +1,15 @@
 /**
  * @file
- * ClusterTopology tests: the one builder constructs every tier,
- * validation catches every malformed shape with a message naming
- * the offending field, and the legacy parameter-struct projections
- * (boardParams/rackParams) agree with the fluent spec.
+ * ClusterTopology tests: the builder is the only way to construct a
+ * board or rack, the built objects carry the fluent spec, validation
+ * catches every malformed shape with a message naming the offending
+ * field, and the components that consume a parameter struct enforce
+ * the same rule with the same sentence.
  */
 
 #include <gtest/gtest.h>
+
+#include <type_traits>
 
 #include "sim/event_queue.hh"
 #include "sim/fault.hh"
@@ -14,6 +17,12 @@
 
 using namespace dpu;
 using topo::ClusterTopology;
+
+// Only the builder constructs a board or a rack.
+static_assert(
+    !std::is_constructible_v<board::Board, const board::BoardParams &>);
+static_assert(
+    !std::is_constructible_v<rack::Rack, const rack::RackParams &>);
 
 TEST(ClusterTopology, BuildsASoc)
 {
@@ -29,62 +38,44 @@ TEST(ClusterTopology, BuildsASoc)
               soc::dpu16nm().nComplexes);
 }
 
-TEST(ClusterTopology, BuildsABoardAndProjectsBoardParams)
+TEST(ClusterTopology, BuildsABoardCarryingTheSpec)
 {
     sim::faultPlane().reset();
-    ClusterTopology t = ClusterTopology::board(4)
-                            .threads(2)
-                            .dmaRetries(7)
-                            .lookahead(sim::Tick(100'000));
+    ClusterTopology t = ClusterTopology::board(4).threads(2).dmaRetries(7);
     EXPECT_EQ(t.validate(), "");
     EXPECT_EQ(t.totalDpus(), 4u);
-
-    const board::BoardParams bp = t.boardParams();
-    EXPECT_EQ(bp.nDpus, 4u);
-    EXPECT_EQ(bp.threads, 2u);
-    EXPECT_EQ(bp.dmaRetries, 7u);
-    EXPECT_EQ(bp.lookahead, sim::Tick(100'000));
 
     auto b = t.buildBoard();
     ASSERT_TRUE(b);
     EXPECT_EQ(b->nDpus(), 4u);
+    EXPECT_EQ(b->params().nDpus, 4u);
+    EXPECT_EQ(b->params().threads, 2u);
+    EXPECT_EQ(b->params().dmaRetries, 7u);
 }
 
-TEST(ClusterTopology, BuildsARackAndProjectsRackParams)
+TEST(ClusterTopology, BuildsARackCarryingTheSpec)
 {
     sim::faultPlane().reset();
     rack::NetParams np;
     np.hopLatency = sim::Tick(2'000'000);
+    rack::PlacementParams place;
+    place.replication = 3;
     ClusterTopology t = ClusterTopology::rack(4, 2)
                             .network(np)
-                            .replication(3);
+                            .placement(place);
     EXPECT_EQ(t.validate(), "");
     EXPECT_EQ(t.nBoards(), 4u);
     EXPECT_EQ(t.totalDpus(), 8u);
-
-    const rack::RackParams rp = t.rackParams();
-    EXPECT_EQ(rp.nBoards, 4u);
-    EXPECT_EQ(rp.board.nDpus, 2u);
-    EXPECT_EQ(rp.net.hopLatency, sim::Tick(2'000'000));
-    EXPECT_EQ(t.placementParams().replication, 3u);
 
     auto r = t.buildRack();
     ASSERT_TRUE(r);
     EXPECT_EQ(r->nBoards(), 4u);
     EXPECT_EQ(r->nDpus(), 8u);
+    EXPECT_EQ(r->params().nBoards, 4u);
+    EXPECT_EQ(r->params().board.nDpus, 2u);
+    EXPECT_EQ(r->params().net.hopLatency, sim::Tick(2'000'000));
     EXPECT_EQ(r->net().params().hopLatency,
               sim::Tick(2'000'000));
-}
-
-TEST(ClusterTopology, LegacyBoardParamsPathStillCompiles)
-{
-    // The shim contract: the old construction path stays source-
-    // compatible next to the builder.
-    sim::faultPlane().reset();
-    board::BoardParams bp;
-    bp.nDpus = 2;
-    board::Board b(bp);
-    EXPECT_EQ(b.nDpus(), 2u);
 }
 
 TEST(ClusterTopologyValidation, NamesTheOffendingField)
@@ -116,8 +107,10 @@ TEST(ClusterTopologyValidation, NamesTheOffendingField)
                   .find("flit"),
               std::string::npos);
 
+    rack::PlacementParams rep4;
+    rep4.replication = 4;
     const std::string overRep =
-        ClusterTopology::rack(2, 2).replication(4).validate();
+        ClusterTopology::rack(2, 2).placement(rep4).validate();
     EXPECT_NE(overRep.find("replication 4"), std::string::npos);
     EXPECT_NE(overRep.find("2 boards"), std::string::npos);
 
@@ -138,10 +131,43 @@ TEST(ClusterTopologyValidation, DegenerateRackIsStillARack)
 {
     // One board, one chip, replication 1: a valid (if pointless)
     // rack — the builder doesn't second-guess scale.
-    ClusterTopology t =
-        ClusterTopology::rack(1, 1).replication(1);
+    rack::PlacementParams rep1;
+    rep1.replication = 1;
+    ClusterTopology t = ClusterTopology::rack(1, 1).placement(rep1);
     EXPECT_EQ(t.validate(), "");
     sim::faultPlane().reset();
     auto r = t.buildRack();
     EXPECT_EQ(r->nDpus(), 1u);
+}
+
+// The scheduler enforces the builder's placement rules itself, with
+// the builder's sentence: a RackScheduler handed a PlacementParams
+// the builder never saw still cannot run an invalid placement.
+
+TEST(RackSchedulerDeathTest, ReplicationAboveTheBoardCountDies)
+{
+    sim::faultPlane().reset();
+    rack::PlacementParams place;
+    place.replication = 3;
+    const std::string rule =
+        ClusterTopology::rack(2, 1).placement(place).validate();
+    EXPECT_EQ(rule, "replication 3 exceeds the rack's 2 boards");
+    auto r = ClusterTopology::rack(2, 1).buildRack();
+    EXPECT_DEATH(rack::RackScheduler(*r, {}, place), rule);
+}
+
+TEST(RackSchedulerDeathTest, DownBeforeSuspectDies)
+{
+    sim::faultPlane().reset();
+    rack::PlacementParams place;
+    place.health.heartbeatPeriod = sim::Tick(200'000'000);
+    place.health.suspectAfter = 3;
+    place.health.downAfter = 2;
+    const std::string rule =
+        ClusterTopology::rack(2, 1).placement(place).validate();
+    EXPECT_EQ(rule,
+              "downAfter 2 below suspectAfter 3 would skip the "
+              "Suspect state");
+    auto r = ClusterTopology::rack(2, 1).buildRack();
+    EXPECT_DEATH(rack::RackScheduler(*r, {}, place), rule);
 }
