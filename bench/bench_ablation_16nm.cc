@@ -20,7 +20,7 @@ int
 main(int argc, char **argv)
 {
     sim::setVerbose(false);
-    const bool smoke = bench::smokeRun(argc, argv);
+    const bool smoke = bench::hasFlag(argc, argv, "--smoke");
     bench::header("Section 2.5", "16 nm shrink vs 40 nm (perf/watt)");
 
     // Filter: bandwidth bound on both configs.

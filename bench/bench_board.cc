@@ -32,7 +32,7 @@
  */
 
 #include <chrono>
-#include <cstring>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -99,16 +99,6 @@ parallelRun(unsigned threads, const board::ShardedSqlConfig &cfg)
     pt.wallSec = wallNow() - t0;
     pt.epochs = b->runnerStats().epochs;
     return pt;
-}
-
-/** True when `flag` appears verbatim on the command line. */
-bool
-flagSet(int argc, char **argv, const char *flag)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return true;
-    return false;
 }
 
 // ----------------------------------------------------------------
@@ -320,8 +310,8 @@ skewMain(bool smoke, unsigned threads)
 int
 main(int argc, char **argv)
 {
-    const bool smoke = bench::smokeRun(argc, argv);
-    if (flagSet(argc, argv, "--skew-step"))
+    const bool smoke = bench::hasFlag(argc, argv, "--smoke");
+    if (bench::hasFlag(argc, argv, "--skew-step"))
         return skewMain(smoke,
                         unsigned(std::strtoul(
                             bench::argValue(argc, argv, "--threads",

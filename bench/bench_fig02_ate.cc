@@ -44,7 +44,7 @@ int
 main(int argc, char **argv)
 {
     sim::setVerbose(false);
-    const bool smoke = bench::smokeRun(argc, argv);
+    const bool smoke = bench::hasFlag(argc, argv, "--smoke");
     const unsigned iters = smoke ? 8 : 64;
     bench::header("Figure 2", "ATE remote procedure call latency");
 

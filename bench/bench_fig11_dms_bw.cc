@@ -102,7 +102,7 @@ int
 main(int argc, char **argv)
 {
     sim::setVerbose(false);
-    const bool smoke = bench::smokeRun(argc, argv);
+    const bool smoke = bench::hasFlag(argc, argv, "--smoke");
     bench::header("Figure 11",
                   "DMS R / RW bandwidth vs columns and tile size");
 

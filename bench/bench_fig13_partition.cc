@@ -68,7 +68,7 @@ int
 main(int argc, char **argv)
 {
     sim::setVerbose(false);
-    const bool smoke = bench::smokeRun(argc, argv);
+    const bool smoke = bench::hasFlag(argc, argv, "--smoke");
     const std::uint32_t rows = smoke ? 50'000 : 200'000;
     bench::header("Figure 13", "DMS partitioning bandwidth, 32-way");
 

@@ -45,7 +45,7 @@ int
 main(int argc, char **argv)
 {
     sim::setVerbose(false);
-    const bool smoke = bench::smokeRun(argc, argv);
+    const bool smoke = bench::hasFlag(argc, argv, "--smoke");
     bench::header("Figure 14",
                   "DPU perf/watt gains vs Xeon (per application)");
 

@@ -18,7 +18,7 @@ int
 main(int argc, char **argv)
 {
     sim::setVerbose(false);
-    const bool smoke = bench::smokeRun(argc, argv);
+    const bool smoke = bench::hasFlag(argc, argv, "--smoke");
     bench::header("Figure 15", "filter primitive vs DMEM tile size");
 
     bench::row("  %-12s %14s %14s", "tile size", "Mtuples/s",

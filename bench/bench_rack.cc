@@ -44,7 +44,7 @@
  */
 
 #include <algorithm>
-#include <cstring>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -123,16 +123,6 @@ traceRun(unsigned n_boards, unsigned max_boards,
     pt.sum = sched.summary();
     sim::faultPlane().reset();
     return pt;
-}
-
-/** True when `flag` appears verbatim on the command line. */
-bool
-flagSet(int argc, char **argv, const char *flag)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return true;
-    return false;
 }
 
 // ----------------------------------------------------------------
@@ -405,7 +395,7 @@ outageMain(bool smoke, unsigned threads)
 int
 main(int argc, char **argv)
 {
-    const bool smoke = bench::smokeRun(argc, argv);
+    const bool smoke = bench::hasFlag(argc, argv, "--smoke");
     const char *faults =
         bench::argValue(argc, argv, "--faults", "");
     const std::uint64_t fault_seed = std::strtoull(
@@ -416,7 +406,7 @@ main(int argc, char **argv)
     const unsigned threads = unsigned(std::strtoul(
         bench::argValue(argc, argv, "--threads", "1"), nullptr, 0));
 
-    if (flagSet(argc, argv, "--outage"))
+    if (bench::hasFlag(argc, argv, "--outage"))
         return outageMain(smoke, threads);
 
     // The arrival shape: one simulated "day" of 10 ms with a 50%

@@ -23,7 +23,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -84,15 +83,6 @@ stateName(host::JobState st)
     case host::JobState::Rejected: return "rejected";
     }
     return "?";
-}
-
-bool
-argFlag(int argc, char **argv, const char *flag)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return true;
-    return false;
 }
 
 /** One serving run's shape. */
@@ -379,7 +369,7 @@ int
 main(int argc, char **argv)
 {
     sim::setVerbose(false);
-    const bool smoke = bench::smokeRun(argc, argv);
+    const bool smoke = bench::hasFlag(argc, argv, "--smoke");
 
     RunCfg cfg;
     cfg.rate =
@@ -399,7 +389,7 @@ main(int argc, char **argv)
     bench::header("Serving",
                   "offload scheduler under mixed-app load");
 
-    if (argFlag(argc, argv, "--fault-sweep")) {
+    if (bench::hasFlag(argc, argv, "--fault-sweep")) {
         // Sweep a fixed fault menu with retries on, reporting
         // availability and tail latency per scenario.
         int rc = 0;

@@ -253,7 +253,7 @@ int
 main(int argc, char **argv)
 {
     sim::setVerbose(false);
-    const bool smoke = bench::smokeRun(argc, argv);
+    const bool smoke = bench::hasFlag(argc, argv, "--smoke");
     const double floor =
         std::atof(bench::argValue(argc, argv, "--floor", "0"));
     const unsigned repeat = smoke ? 1 : 3;

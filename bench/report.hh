@@ -18,16 +18,16 @@
 namespace bench {
 
 /**
- * True when the bench was invoked with --smoke (CI mode): run the
- * same code paths with tiny parameters so the binary finishes in
- * seconds and bit-rot is caught, without pretending the numbers
- * mean anything.
+ * True when @p flag appears verbatim on the command line. Every
+ * bench takes --smoke (CI mode): the same code paths with tiny
+ * parameters, so the binary finishes in seconds and bit-rot is
+ * caught, without pretending the numbers mean anything.
  */
 inline bool
-smokeRun(int argc, char **argv)
+hasFlag(int argc, char **argv, const char *flag)
 {
     for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--smoke") == 0)
+        if (std::strcmp(argv[i], flag) == 0)
             return true;
     return false;
 }

@@ -9,13 +9,35 @@ namespace dpu::balance {
 MigrationLedger::MigrationLedger(const Policy &policy_,
                                  unsigned n_partitions,
                                  unsigned n_nodes,
-                                 Transport &transport, Rules rules_)
+                                 Transport &transport, Rules rules_,
+                                 sim::StatGroup &stats)
     : policy(policy_), nNodes(n_nodes), xport(transport),
       rules(std::move(rules_)), track(n_partitions),
       frozenParts(n_partitions, false), nextRollAt(policy_.window)
 {
     sim_assert(rules.homeOf && rules.eligible && rules.commit,
                "a migration ledger needs all three tier rules");
+    stats.addFlushHook([this, &stats] { foldStats(stats); });
+}
+
+void
+MigrationLedger::foldStats(sim::StatGroup &stats) const
+{
+    auto put = [&stats](const char *name, std::uint64_t v) {
+        if (v)
+            stats.counter(name) = v;
+    };
+    const Counters &mv = counters(Purpose::Move);
+    const Counters &rp = counters(Purpose::Repair);
+    put("started", mv.started);
+    put("committed", mv.committed);
+    put("aborted", mv.aborted);
+    put("timedOut", mv.timedOut);
+    put("forwarded", fwd.requests);
+    put("deltaBytes", fwd.bytes);
+    put("deltaDropped", fwd.dropped);
+    put("repair.started", rp.started);
+    put("repair.committed", rp.committed);
 }
 
 unsigned

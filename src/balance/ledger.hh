@@ -13,6 +13,13 @@
  * the counters. Every exit path releases the frozen flag and counts,
  * so started == committed + aborted + inFlight always holds.
  *
+ * The counters fold into a StatGroup the tier hands over
+ * ("rack.balance", "board.balance"), under one set of leaf names
+ * for both tiers, each registered once nonzero: `started`,
+ * `committed`, `aborted`, `timedOut`, `forwarded`, `deltaBytes`,
+ * `deltaDropped`, and `repair.started` / `repair.committed` for
+ * Purpose::Repair.
+ *
  * A tier supplies a Transport and its Rules (eligibility, commit
  * action). The ledger never asks which tier drives it, and runs in
  * the host phase only, which keeps balanced runs bit-deterministic.
@@ -27,6 +34,7 @@
 #include <vector>
 
 #include "balance/planner.hh"
+#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace dpu::balance {
@@ -113,9 +121,11 @@ class MigrationLedger
         std::uint64_t requests = 0, bytes = 0, dropped = 0;
     };
 
+    /** @p stats receives the counters through a flush hook, so it
+     *  must not be read after the ledger is gone. */
     MigrationLedger(const Policy &policy, unsigned n_partitions,
                     unsigned n_nodes, Transport &transport,
-                    Rules rules);
+                    Rules rules, sim::StatGroup &stats);
 
     /** Count one request offered to @p partition. */
     void record(unsigned partition) { track.record(partition); }
@@ -160,6 +170,7 @@ class MigrationLedger
 
   private:
     void retire(std::size_t i, Outcome how);
+    void foldStats(sim::StatGroup &stats) const;
 
     Policy policy;
     unsigned nNodes;

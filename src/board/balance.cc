@@ -191,7 +191,7 @@ class BoardBalancer::Handoff : public balance::Transport
         bool dropped = false;
         const sim::Tick at = brd.fabric().startBulk(
             m.step.from, m.step.to, bytes, dropped,
-            LinkTraffic::Migration);
+            sim::Traffic::Migration);
         if (!dropped)
             brd.fabric().postDelivery(m.step.from, m.step.to, at,
                                       [] {});
@@ -250,7 +250,7 @@ class BoardBalancer::Handoff : public balance::Transport
         bool dropped = false;
         const sim::Tick at = brd.fabric().startBulk(
             t.from, t.to, payload->size(), dropped,
-            LinkTraffic::Migration);
+            sim::Traffic::Migration);
         if (!dropped) {
             const mem::Addr ddr = t.plan.chunks[chunk].ddrAddr;
             const std::uint8_t width = t.plan.chunks[chunk].colWidth;
@@ -341,7 +341,7 @@ BoardBalancer::BoardBalancer(Board &brd_,
     rules.deltaBytes = p.deltaBytesPerRequest;
     led = std::make_unique<balance::MigrationLedger>(
         p, unsigned(home.size()), brd.nDpus(), *handoff,
-        std::move(rules));
+        std::move(rules), stats);
 
     for (unsigned part = 0; part < home.size(); ++part) {
         sim_assert(home[part] < brd.nDpus(),
@@ -416,25 +416,15 @@ BoardBalancer::report() const
 void
 BoardBalancer::foldStats()
 {
-    const Report rep = report();
-    if (rep.planned) {
-        stats.counter("planned") = rep.planned;
-        stats.counter("committed") = rep.committed;
-        stats.counter("aborted") = rep.aborted;
-        stats.counter("stateBytes") = rep.stateBytes;
-    }
-    if (rep.forwarded) {
-        stats.counter("forwarded") = rep.forwarded;
-        stats.counter("deltaBytes") = rep.deltaBytes;
-    }
+    // The ledger folds its own counters into this group; these are
+    // the hand-off engines' extras.
     auto put = [this](const char *name, std::uint64_t v) {
         if (v)
             stats.counter(name) = v;
     };
-    put("timeoutAborts", rep.timeoutAborts);
-    put("chunkRetries", rep.chunkRetries);
-    put("deltaDropped", rep.deltaDropped);
-    put("staleDeliveries", rep.staleDeliveries);
+    put("stateBytes", handoff->stateBytes);
+    put("chunkRetries", handoff->chunkRetries);
+    put("staleDeliveries", handoff->staleDeliveries());
 }
 
 } // namespace dpu::board

@@ -10,9 +10,7 @@
  *  - hash routing: a deterministic CRC mix of the request's app
  *    name and seed — the serving-tier "partition by key" path, so
  *    a request's home DPU is a pure function of the request;
- *  - round-robin: arrival-order striping, the load-balancing path;
- *  - weighted / replica-group: the rack-tier policies, usable here
- *    too for heterogeneous or replicated boards.
+ *  - round-robin: arrival-order striping, the load-balancing path.
  *
  * Routing is static for a request (decided at enqueue time, before
  * the segment that serves it runs): a request never migrates

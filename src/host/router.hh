@@ -4,9 +4,9 @@
  * schedulers.
  *
  * The policy is an interface because the tiers need different
- * shapes: hash and round-robin striping on a board, replica groups
- * with ordered failover candidates and weighted spreading over
- * heterogeneous shards on a rack. A Router maps a request onto one of
+ * shapes: hash and round-robin striping on a board, partition-mapped
+ * replica sets with ordered failover candidates on a rack
+ * (PartitionRouter). A Router maps a request onto one of
  * nShards targets — DPUs under BoardScheduler, boards under
  * rack::RackScheduler — and can enumerate an ordered candidate list
  * for policies that support failover.
@@ -79,19 +79,6 @@ std::unique_ptr<Router> makeHashRouter();
 
 /** Arrival-order striping; fair by construction. */
 std::unique_ptr<Router> makeRoundRobinRouter();
-
-/**
- * Key-hash onto weighted buckets: shard i receives a share
- * proportional to weights[i]. The vector may be SHORTER than the
- * shard count — unlisted shards are padded with weight 1.0, so a
- * single {2.0} over three shards yields shares 2:1:1 — but it must
- * never be longer: surplus weights indicate the caller sized the
- * vector for a different topology, and route() asserts on them
- * instead of silently ignoring the tail. Pure function of the
- * request.
- */
-std::unique_ptr<Router>
-makeWeightedRouter(std::vector<double> weights);
 
 /**
  * Replica-group routing (the rack placement policy): the key hash

@@ -8,6 +8,13 @@
  * is exactly why software-managed coherence (flush before DMS read,
  * invalidate before cached read of DMS output) is required on the
  * real chip and in this simulator alike.
+ *
+ * The bytes live in an anonymous mapping rather than on the heap:
+ * the image starts zeroed without a memset, pages materialize on
+ * first touch (a 256 MB DDR image costs what the workload uses),
+ * and multi-megabyte images never move malloc's dynamic mmap and
+ * trim thresholds, so building a topology costs the same whatever
+ * the heap looked like before.
  */
 
 #ifndef DPU_MEM_BACKING_STORE_HH
@@ -15,7 +22,8 @@
 
 #include <cstdint>
 #include <cstring>
-#include <vector>
+
+#include <sys/mman.h>
 
 #include "mem/addr.hh"
 #include "sim/logging.hh"
@@ -26,26 +34,39 @@ namespace dpu::mem {
 class BackingStore
 {
   public:
-    explicit BackingStore(std::size_t bytes) : mem(bytes, 0) {}
+    explicit BackingStore(std::size_t bytes) : n(bytes)
+    {
+        sim_assert(n > 0, "a DDR image needs at least one byte");
+        void *p = mmap(nullptr, n, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        sim_assert(p != MAP_FAILED, "cannot map a %zu-byte DDR image",
+                   n);
+        mem = static_cast<std::uint8_t *>(p);
+    }
 
-    std::size_t size() const { return mem.size(); }
+    ~BackingStore() { munmap(mem, n); }
+
+    BackingStore(const BackingStore &) = delete;
+    BackingStore &operator=(const BackingStore &) = delete;
+
+    std::size_t size() const { return n; }
 
     void
     read(Addr addr, void *dst, std::size_t len) const
     {
-        sim_assert(addr + len <= mem.size(),
+        sim_assert(addr + len <= n,
                    "DDR read out of range: addr=%llx len=%zu",
                    (unsigned long long)addr, len);
-        std::memcpy(dst, mem.data() + addr, len);
+        std::memcpy(dst, mem + addr, len);
     }
 
     void
     write(Addr addr, const void *src, std::size_t len)
     {
-        sim_assert(addr + len <= mem.size(),
+        sim_assert(addr + len <= n,
                    "DDR write out of range: addr=%llx len=%zu",
                    (unsigned long long)addr, len);
-        std::memcpy(mem.data() + addr, src, len);
+        std::memcpy(mem + addr, src, len);
     }
 
     template <typename T>
@@ -65,11 +86,12 @@ class BackingStore
     }
 
     /** Direct pointer for bulk workload setup (host-side only). */
-    std::uint8_t *raw() { return mem.data(); }
-    const std::uint8_t *raw() const { return mem.data(); }
+    std::uint8_t *raw() { return mem; }
+    const std::uint8_t *raw() const { return mem; }
 
   private:
-    std::vector<std::uint8_t> mem;
+    std::size_t n;
+    std::uint8_t *mem;
 };
 
 } // namespace dpu::mem

@@ -218,8 +218,8 @@ HealthMonitor::sendProbes(sim::Tick at)
     for (unsigned b = 0; b < n; ++b) {
         ++probeCnt;
         bool dropped = false;
-        const sim::Tick delivered = net.deliver(
-            b, prm.probeBytes, at, dropped, NetTraffic::Probe);
+        const sim::Tick delivered = net.send(
+            b, prm.probeBytes, at, dropped, sim::Traffic::Probe);
         if (!dropped && aliveAt(b, delivered)) {
             // The pong is a flit-sized message; the return hop's
             // latency dominates, so model it as one hopLatency.

@@ -17,7 +17,7 @@
  *
  *  - heartbeat probes: every `heartbeatPeriod` ticks the monitor
  *    sends one small probe per board over the RackNet. Probes are
- *    real traffic (NetTraffic::Probe): they burn wire time on the
+ *    real traffic (sim::Traffic::Probe): they burn wire time on the
  *    board's ingress pipe and are subject to rack.netDrop /
  *    rack.netDelay like any other message. A probe that reaches a
  *    live board acks one hop later; a probe that is dropped or
@@ -46,7 +46,7 @@
  * window until markRepaired()) consult the fault plane. These are
  * the only fault-plane reads left on the rack side of a request —
  * they model the physical outcome of a send at the board, exactly
- * like RackNet::deliver models a drop in the switch — and the
+ * like RackNet::send models a drop in the switch — and the
  * routing decision itself sees nothing but detector verdicts. The
  * oracle survives only as a test probe (tests compare transition
  * ticks against injected fault windows to measure detection

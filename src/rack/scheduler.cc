@@ -27,8 +27,8 @@ class NetHandoff : public balance::Transport
         const std::uint64_t bytes =
             bal.stateBytesBase + bal.stateBytesPerRequest * m.absorbed;
         bool dropped = false;
-        m.transfer = net.deliver(m.step.to, bytes, now, dropped,
-                                 NetTraffic::Migration);
+        m.transfer = net.send(m.step.to, bytes, now, dropped,
+                              sim::Traffic::Migration);
         return !dropped;
     }
 
@@ -48,8 +48,8 @@ class NetHandoff : public balance::Transport
             sim::Tick now) override
     {
         bool dropped = false;
-        net.deliver(m.step.to, bytes, now, dropped,
-                    NetTraffic::Migration);
+        net.send(m.step.to, bytes, now, dropped,
+                 sim::Traffic::Migration);
         return !dropped;
     }
 
@@ -119,8 +119,9 @@ RackScheduler::RackScheduler(Rack &r, host::OffloadParams per_dpu,
                                         place.replication)),
       mon(std::make_unique<HealthMonitor>(r.net(), r.nBoards(),
                                           place.health)),
-      windows(r.nBoards()), outstandingRepairs(r.nBoards(), 0),
-      boardAdmitted(r.nBoards(), 0), stats("rack")
+      windows(r.nBoards()), balanceStats("rack.balance"),
+      outstandingRepairs(r.nBoards(), 0), boardAdmitted(r.nBoards(), 0),
+      stats("rack")
 {
     defaultDeadline = per_dpu.defaultTimeout;
     netHandoff =
@@ -142,7 +143,7 @@ RackScheduler::RackScheduler(Rack &r, host::OffloadParams per_dpu,
     rules.deltaBytes = place.balance.stateBytesPerRequest;
     ledger = std::make_unique<balance::MigrationLedger>(
         place.balance, place.keyPartitions, rack.nBoards(),
-        *netHandoff, std::move(rules));
+        *netHandoff, std::move(rules), balanceStats);
     const std::string prefix = per_dpu.statName;
     boardScheds.reserve(rack.nBoards());
     for (unsigned b = 0; b < rack.nBoards(); ++b) {
@@ -168,15 +169,6 @@ RackScheduler::RackScheduler(Rack &r, host::OffloadParams per_dpu,
         put("shed", shedCnt);
         put("failovers", failoverCnt);
         put("admitReroutes", admitRerouteCnt);
-        const auto &mig = ledger->counters();
-        const auto &rep = ledger->counters(balance::Purpose::Repair);
-        put("repairStarted", rep.started);
-        put("repairCommitted", rep.committed);
-        put("migStarted", mig.started);
-        put("migCommitted", mig.committed);
-        put("migAborted", mig.aborted);
-        put("forwarded", ledger->forwarding().requests);
-        put("deltaDropped", ledger->forwarding().dropped);
         if (place.balance.window) {
             // Per-shard serving accounting only matters (and only
             // folds) when the balancer is live, so un-balanced
@@ -455,7 +447,7 @@ RackScheduler::enqueueAt(sim::Tick when, RackRequest req,
         }
         bool dropped = false;
         const sim::Tick delivered =
-            rack.net().deliver(b, req.bytes, sendAt, dropped);
+            rack.net().send(b, req.bytes, sendAt, dropped);
         if (dropped) {
             // No ack will ever come back, and the front-end can't
             // tell a fabric drop from a dead board — both feed the

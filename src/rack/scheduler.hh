@@ -28,7 +28,7 @@
  *     exhausts its replicas is rejected at the front-end. The
  *     routing decision reads detector state only; the fault plane
  *     is consulted solely at the physical injection points
- *     (RackNet::deliver, HealthMonitor::aliveAt).
+ *     (RackNet::send, HealthMonitor::aliveAt).
  *
  *  3. Bounded admission — per-board sliding-window rate cap
  *     (admitPerWindow requests per admitWindow ticks): a request at
@@ -308,10 +308,11 @@ class RackScheduler
     /** Fallback deadline for shed prediction (per-DPU default). */
     sim::Tick defaultDeadline = 0;
 
-    // Migration state (host phase only): the RackNet transport and
-    // the ledger driving it.
+    // Migration state (host phase only): the RackNet transport, the
+    // ledger driving it and the group it folds its counters into.
     std::unique_ptr<balance::Transport> netHandoff;
     std::unique_ptr<balance::MigrationLedger> ledger;
+    sim::StatGroup balanceStats;
 
     // Repair state (host phase only).
     std::vector<RepairJob> owedRepairs; ///< queued / retrying

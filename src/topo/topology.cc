@@ -115,11 +115,11 @@ ClusterTopology::validate() const
 
     if (tier_ == Tier::Soc)
         return "";
-    std::string err = b.link.validate();
+    std::string err = b.link.validate("board link");
     if (err.empty())
         err = b.balance.validate();
     if (err.empty() && tier_ == Tier::Rack)
-        err = spec_.net.validate();
+        err = spec_.net.validate("rack network");
     if (err.empty() && tier_ == Tier::Rack)
         err = place_.validate(spec_.nBoards);
     return err;

@@ -85,6 +85,7 @@ struct Fixture
     std::set<unsigned> ineligibleTargets;
     std::vector<unsigned> commits;
     std::unique_ptr<MigrationLedger> ledger;
+    sim::StatGroup stats{"ledger"};
 
     Fixture()
     {
@@ -107,7 +108,7 @@ struct Fixture
         rules.timeout = kTimeout;
         rules.deltaBytes = 64;
         ledger = std::make_unique<MigrationLedger>(
-            policy, kParts, kNodes, xport, std::move(rules));
+            policy, kParts, kNodes, xport, std::move(rules), stats);
     }
 
     bool

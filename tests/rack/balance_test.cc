@@ -432,7 +432,7 @@ TEST(RackBalance, DroppedTransferAbortsAndRetriesNextWindow)
     EXPECT_GE(fwd.requests, 1u);
     EXPECT_EQ(fwd.dropped, 0u);
     EXPECT_EQ(sim::StatsRegistry::instance().snapshot().counters.count(
-                  "rack.deltaDropped"),
+                  "rack.balance.deltaDropped"),
               0u);
     sim::faultPlane().reset();
 }
@@ -481,7 +481,7 @@ TEST(RackBalance, TenRunDeterminismWallWithActiveMigrations)
 {
     const auto base = runBalancedScenario(1);
     ASSERT_FALSE(base.counters.empty());
-    const auto it = base.counters.find("rack.migCommitted");
+    const auto it = base.counters.find("rack.balance.committed");
     ASSERT_NE(it, base.counters.end())
         << "scenario committed no migration — the wall would not "
            "exercise the balancer";

@@ -622,7 +622,7 @@ TEST(HealthChaos, TenRunDeterminismWallWithDetectionLive)
     ASSERT_NE(base.snap.counters.find("health.probes"),
               base.snap.counters.end())
         << "the wall would not exercise the detector";
-    ASSERT_NE(base.snap.counters.find("rack.repairCommitted"),
+    ASSERT_NE(base.snap.counters.find("rack.balance.repair.committed"),
               base.snap.counters.end())
         << "the wall would not exercise the repair path";
 

@@ -314,8 +314,9 @@ TEST(RackNetFaults, DroppedBytesNeverCountAsCarried)
               rack::AdmitResult::NetLost);
     // Both replica attempts burned wire time but carried nothing:
     // the payload lands in droppedBytes, never in the carried /
-    // utilization accounting (the xfer_stat split).
-    EXPECT_EQ(r->net().messages(), 2u);
+    // utilization accounting (the xfer_stat split), and the two
+    // attempts count as drops, not as carried messages.
+    EXPECT_EQ(r->net().messages(), 0u);
     EXPECT_EQ(r->net().drops(), 2u);
     EXPECT_EQ(r->net().droppedBytes(), 2 * payload);
     EXPECT_EQ(r->net().bytesCarried(), 0u);
