@@ -312,42 +312,35 @@ BalanceParams::validate() const
 // BoardBalancer
 // ----------------------------------------------------------------
 
-BoardBalancer::BoardBalancer(Board &brd_,
-                             std::vector<unsigned> initial_home,
+BoardBalancer::BoardBalancer(Board &brd_, balance::PartitionMap &parts_,
                              const BalanceParams &params)
-    : brd(brd_), p(params), home(std::move(initial_home)),
-      stats("board.balance")
+    : brd(brd_), parts(parts_), p(params), stats("board.balance")
 {
     sim_assert(p.window > 0, "balancer built with window = 0");
-    sim_assert(!home.empty(), "balancer needs key partitions");
     const std::string err = p.validate();
     sim_assert(err.empty(), "%s", err.c_str());
 
     handoff = std::make_unique<Handoff>(brd, p);
     balance::Rules rules;
-    rules.homeOf = [this](unsigned part) { return home[part]; };
+    rules.homeOf = [this](unsigned part) {
+        return parts.homeOf(part, brd.nDpus());
+    };
     rules.eligible = [this](const balance::MigrationStep &s) {
         return handoff->canRun(s);
     };
     rules.commit = [this](const balance::Migration &m) {
-        // The router observes the old home while the hook runs,
-        // then the single partition flips.
-        const balance::MigrationStep &s = m.step;
-        if (commitHook)
-            commitHook(s.partition, s.from, s.to);
-        home[s.partition] = s.to;
+        // Drain-then-switch: the single partition flips; every
+        // offer forwarded afterwards routes to the new home.
+        parts.reassign(m.step.partition, m.step.to);
     };
     rules.timeout = p.migrationTimeout;
     rules.deltaBytes = p.deltaBytesPerRequest;
     led = std::make_unique<balance::MigrationLedger>(
-        p, unsigned(home.size()), brd.nDpus(), *handoff,
+        p, parts.nPartitions(), brd.nDpus(), *handoff,
         std::move(rules), stats);
 
-    for (unsigned part = 0; part < home.size(); ++part) {
-        sim_assert(home[part] < brd.nDpus(),
-                   "partition %u homed off the board", part);
-        seedState(part, home[part]);
-    }
+    for (unsigned part = 0; part < parts.nPartitions(); ++part)
+        seedState(part, parts.homeOf(part, brd.nDpus()));
 
     stats.addFlushHook([this] { foldStats(); });
 }
@@ -358,13 +351,6 @@ std::uint8_t
 BoardBalancer::statePattern(unsigned part, std::uint64_t i)
 {
     return std::uint8_t(0x5A ^ (part * 131) ^ (i * 0x9E) ^ (i >> 8));
-}
-
-unsigned
-BoardBalancer::homeOf(unsigned part) const
-{
-    sim_assert(part < home.size(), "unknown partition %u", part);
-    return home[part];
 }
 
 void
@@ -380,10 +366,9 @@ BoardBalancer::seedState(unsigned part, unsigned dpu)
 std::vector<std::uint8_t>
 BoardBalancer::stateImage(unsigned part) const
 {
-    sim_assert(part < home.size(), "unknown partition %u", part);
     std::vector<std::uint8_t> img(p.stateBytesPerPartition);
     const_cast<Board &>(brd)
-        .dpu(home[part])
+        .dpu(parts.homeOf(part, brd.nDpus()))
         .memory()
         .store()
         .read(handoff->stateAddr(part), img.data(), img.size());

@@ -19,12 +19,12 @@
 #define DPU_BOARD_BALANCE_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "balance/ledger.hh"
+#include "balance/partition_map.hh"
 #include "mem/addr.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -65,19 +65,15 @@ struct BalanceParams : balance::Policy
 };
 
 /**
- * The board-tier balancer: owns the partition->DPU home map, the
- * per-DPU hand-off engines and the migration ledger. Driven by
- * host::BoardScheduler through ledger(): record() and forward() per
- * routed request, closeWindow() between runFor() segments.
+ * The board-tier balancer: owns the per-DPU hand-off engines and
+ * the migration ledger, and commits into the scheduler's partition
+ * map. Driven by host::BoardScheduler through ledger(): record()
+ * and forward() per routed request, closeWindow() between runFor()
+ * segments.
  */
 class BoardBalancer
 {
   public:
-    /** Fired (host phase) when a migration commits, BEFORE the
-     *  partition's home map entry flips: (partition, from, to). */
-    using CommitHook =
-        std::function<void(unsigned part, unsigned from, unsigned to)>;
-
     /** Migration accounting. */
     struct Report
     {
@@ -93,23 +89,21 @@ class BoardBalancer
         std::uint64_t staleDeliveries = 0;
     };
 
-    /** Seeds each partition's state pattern into its initial home's
-     *  DDR and builds the per-DPU engine roles (host phase, before
-     *  the board runs). @p initial_home maps partition -> DPU. */
-    BoardBalancer(Board &brd, std::vector<unsigned> initial_home,
+    /** Seeds each partition's state pattern into its current
+     *  home's DDR and builds the per-DPU engine roles (host phase,
+     *  before the board runs). Reads and re-homes partitions in
+     *  @p parts, which must outlive the balancer. */
+    BoardBalancer(Board &brd, balance::PartitionMap &parts,
                   const BalanceParams &params);
     ~BoardBalancer();
 
     /** The drain-then-switch state machine. */
     balance::MigrationLedger &ledger() { return *led; }
 
-    void onCommit(CommitHook hook) { commitHook = std::move(hook); }
-
     // ------------------------------------------------------------
     // Introspection
     // ------------------------------------------------------------
 
-    unsigned homeOf(unsigned part) const;
     /** The partition's state range, read from its CURRENT home. */
     std::vector<std::uint8_t> stateImage(unsigned part) const;
     /** Expected byte @p i of partition @p part's state pattern. */
@@ -128,11 +122,10 @@ class BoardBalancer
     void foldStats();
 
     Board &brd;
+    balance::PartitionMap &parts;
     BalanceParams p;
-    std::vector<unsigned> home; ///< partition -> DPU (routing truth)
     std::unique_ptr<Handoff> handoff;
     std::unique_ptr<balance::MigrationLedger> led;
-    CommitHook commitHook;
     sim::StatGroup stats;
 };
 

@@ -10,7 +10,8 @@ namespace dpu::host {
 BoardScheduler::BoardScheduler(board::Board &b,
                                OffloadParams per_dpu,
                                std::unique_ptr<Router> router_)
-    : brd(b), policy(std::move(router_))
+    : brd(b), policy(std::move(router_)),
+      parts(b.params().balance.keyPartitions, 1)
 {
     sim_assert(policy, "BoardScheduler needs a routing policy");
     const std::string prefix = per_dpu.statName;
@@ -22,11 +23,9 @@ BoardScheduler::BoardScheduler(board::Board &b,
             b.dpu(d), b.host(d), std::move(p)));
     }
 
-    // The key-partition table exists for every board (so the static
-    // and balanced paths route offers identically); the balancer
-    // only when the topology turned it on.
+    // The balancer exists only when the topology turned it on; it
+    // commits into the same map offer() routes through.
     const board::BalanceParams &bal = b.params().balance;
-    parts = std::make_unique<PartitionRouter>(bal.keyPartitions, 1);
     if (bal.window > 0) {
         const unsigned engine = bal.engineCore == ~0u
                                     ? b.dpu(0).nCores() - 1
@@ -35,25 +34,15 @@ BoardScheduler::BoardScheduler(board::Board &b,
                    "the balancer's engine core %u must not be "
                    "managed by the offload scheduler (nCores %u)",
                    engine, per_dpu.nCores);
-        std::vector<unsigned> home(bal.keyPartitions);
-        for (unsigned part = 0; part < bal.keyPartitions; ++part)
-            home[part] = parts->homeOf(part, nShards());
-        balancer_ = std::make_unique<board::BoardBalancer>(
-            b, std::move(home), bal);
-        // Drain-then-switch: the commit hook flips exactly one
-        // partition; every offer forwarded afterwards routes to
-        // the new home.
-        balancer_->onCommit(
-            [this](unsigned part, unsigned /*from*/, unsigned to) {
-                parts->reassign(part, to);
-            });
+        balancer_ =
+            std::make_unique<board::BoardBalancer>(b, parts, bal);
     }
 }
 
 unsigned
-BoardScheduler::route(const JobRequest &req)
+BoardScheduler::route(const JobRequest &req) const
 {
-    return policy->route(routeInfoOf(req), nShards());
+    return policy->route(req.app, req.seed, nShards());
 }
 
 void
@@ -82,7 +71,7 @@ BoardScheduler::start()
 unsigned
 BoardScheduler::partitionOf(std::uint64_t key) const
 {
-    return unsigned(key % parts->nPartitions());
+    return unsigned(key % parts.nPartitions());
 }
 
 void
@@ -107,7 +96,7 @@ BoardScheduler::run()
         // Static placement: forward everything up front and run the
         // board to completion — the PR-5 path, byte for byte.
         for (Offer &o : offers)
-            shards[parts->homeOf(partitionOf(o.key), nShards())]
+            shards[parts.homeOf(partitionOf(o.key), nShards())]
                 ->enqueueAt(o.when, std::move(o.req));
         offers.clear();
         start();
@@ -118,7 +107,7 @@ BoardScheduler::run()
     // window's offers to their partitions' CURRENT homes (host
     // phase, clocks parked), runs the kernel to the boundary, then
     // lets the balancer harvest/plan/launch. Migrations execute
-    // inside subsequent segments; commits flip the router between
+    // inside subsequent segments; commits flip the map between
     // them. Termination: once offers are exhausted the balancer is
     // draining (no new plans) and every in-flight migration either
     // commits, aborts, or hits its timeout bound.
@@ -135,7 +124,7 @@ BoardScheduler::run()
                offers[next].when < boundary) {
             Offer &o = offers[next++];
             const unsigned part = partitionOf(o.key);
-            const unsigned home = parts->homeOf(part, nShards());
+            const unsigned home = parts.homeOf(part, nShards());
             ledger.record(part);
             ledger.forward(part, home, o.when);
             shards[home]->enqueueAt(o.when, std::move(o.req));

@@ -3,14 +3,12 @@
  * Board-level sharded offload scheduling.
  *
  * One OffloadScheduler per DPU (each with its own HostA9 endpoint,
- * admission queue, quarantine and availability accounting), plus a
- * pluggable routing policy (host/router.hh) that assigns every
- * request to a shard before the run starts:
- *
- *  - hash routing: a deterministic CRC mix of the request's app
- *    name and seed — the serving-tier "partition by key" path, so
- *    a request's home DPU is a pure function of the request;
- *  - round-robin: arrival-order striping, the load-balancing path.
+ * admission queue, quarantine and availability accounting). Every
+ * request is assigned to a shard before the run starts: keyless
+ * requests by the hash policy (host/router.hh), a deterministic mix
+ * of the request's app name and seed, so a request's home DPU is a
+ * pure function of the request; keyed offers by the board's
+ * balance::PartitionMap.
  *
  * Routing is static for a request (decided at enqueue time, before
  * the segment that serves it runs): a request never migrates
@@ -27,7 +25,7 @@
  * window-sized segments, forwarding each window's offers to their
  * partition's CURRENT home DPU, and closes the balancer's migration
  * ledger (balance/ledger.hh) at every boundary. A commit flips
- * exactly one partition in the PartitionRouter. All host-phase, so
+ * exactly one partition in the PartitionMap. All host-phase, so
  * any --threads count produces the same board, bit for bit.
  */
 
@@ -37,13 +35,15 @@
 #include <memory>
 #include <vector>
 
+#include "balance/partition_map.hh"
 #include "board/board.hh"
 #include "host/offload.hh"
 #include "host/router.hh"
 
 namespace dpu::host {
 
-/** N per-DPU offload schedulers behind one routing policy. */
+/** N per-DPU offload schedulers behind one routing policy and one
+ *  key-partition map. */
 class BoardScheduler
 {
   public:
@@ -62,12 +62,8 @@ class BoardScheduler
         return *shards[d];
     }
 
-    /** The active routing policy. */
-    Router &router() { return *policy; }
-
-    /** The shard @p req routes to (advances stateful policies such
-     *  as round-robin). */
-    unsigned route(const JobRequest &req);
+    /** The shard the hash policy routes @p req to. */
+    unsigned route(const JobRequest &req) const;
 
     /** Open-loop arrival routed by policy. */
     void enqueueAt(sim::Tick when, JobRequest req);
@@ -111,8 +107,9 @@ class BoardScheduler
     /** The balancer (null unless balanced()). */
     board::BoardBalancer *balancer() { return balancer_.get(); }
 
-    /** Key-partition routing table used by offer(). */
-    PartitionRouter &partitions() { return *parts; }
+    /** Key-partition homes: offer() routes through it and the
+     *  balancer commits into it. */
+    balance::PartitionMap &partitions() { return parts; }
 
     /**
      * Board-wide aggregate (valid after the board has run):
@@ -133,9 +130,9 @@ class BoardScheduler
     board::Board &brd;
     std::unique_ptr<Router> policy;
     std::vector<std::unique_ptr<OffloadScheduler>> shards;
-    /** Key-partition homes; built for every board so the static
-     *  and balanced paths route identically. */
-    std::unique_ptr<PartitionRouter> parts;
+    /** Built for every board so the static and balanced paths
+     *  route identically. */
+    balance::PartitionMap parts;
     /** Live only when Board::params().balance.window > 0. */
     std::unique_ptr<board::BoardBalancer> balancer_;
     std::vector<Offer> offers;

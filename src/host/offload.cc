@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "host/summary.hh"
 #include "sim/fault.hh"
 #include "sim/logging.hh"
 #include "sim/trace.hh"
@@ -35,18 +36,6 @@ ackMsg(std::uint64_t dispatch_id, unsigned group, unsigned lane)
 /** Trace track ids on TraceCat::Soc. */
 constexpr std::uint32_t hostTid = 0x500;
 constexpr std::uint32_t groupTid = 0x510;
-
-/** Nearest-rank percentile of an ascending-sorted sample. */
-double
-percentile(const std::vector<double> &sorted, double q)
-{
-    if (sorted.empty())
-        return 0;
-    std::size_t rank = std::size_t(q * double(sorted.size()) + 0.5);
-    if (rank > 0)
-        --rank;
-    return sorted[std::min(rank, sorted.size() - 1)];
-}
 
 } // namespace
 
@@ -488,9 +477,9 @@ OffloadScheduler::finalize(soc::HostA9 &host)
     stats.scalar("availability") = s.availability;
 
     std::sort(latenciesUs.begin(), latenciesUs.end());
-    s.p50Us = percentile(latenciesUs, 0.50);
-    s.p95Us = percentile(latenciesUs, 0.95);
-    s.p99Us = percentile(latenciesUs, 0.99);
+    s.p50Us = percentileOf(latenciesUs, 0.50);
+    s.p95Us = percentileOf(latenciesUs, 0.95);
+    s.p99Us = percentileOf(latenciesUs, 0.99);
     if (!latenciesUs.empty()) {
         double sum = 0;
         for (double l : latenciesUs)

@@ -106,17 +106,13 @@ keyPartition(std::uint64_t key, unsigned key_partitions)
 unsigned
 partitionHome(unsigned partition, unsigned n_boards)
 {
-    host::RouteInfo info;
-    info.key = partition;
-    info.hasKey = true;
-    return host::routeHash(info) % n_boards;
+    return balance::placementHash("", partition) % n_boards;
 }
 
 RackScheduler::RackScheduler(Rack &r, host::OffloadParams per_dpu,
                              PlacementParams place_)
     : rack(r), place(validated(place_, r.nBoards())),
-      partMap(host::makePartitionRouter(place.keyPartitions,
-                                        place.replication)),
+      partMap(place.keyPartitions, place.replication),
       mon(std::make_unique<HealthMonitor>(r.net(), r.nBoards(),
                                           place.health)),
       windows(r.nBoards()), balanceStats("rack.balance"),
@@ -150,9 +146,8 @@ RackScheduler::RackScheduler(Rack &r, host::OffloadParams per_dpu,
         host::OffloadParams p = per_dpu;
         p.statName = prefix + ".b" + std::to_string(b);
         boardScheds.push_back(
-            std::make_unique<host::BoardScheduler>(
-                rack.board(b), std::move(p),
-                host::makeHashRouter()));
+            std::make_unique<host::BoardScheduler>(rack.board(b),
+                                                   std::move(p)));
     }
     stats.addFlushHook([this] {
         // Cells register only once nonzero, so runs that never hit
@@ -190,16 +185,13 @@ RackScheduler::partitionOf(std::uint64_t key) const
 unsigned
 RackScheduler::homeOf(unsigned partition) const
 {
-    return partMap->homeOf(partition, rack.nBoards());
+    return partMap.homeOf(partition, rack.nBoards());
 }
 
 unsigned
 RackScheduler::primaryOf(std::uint64_t key) const
 {
-    host::RouteInfo info;
-    info.key = partitionOf(key);
-    info.hasKey = true;
-    return partMap->route(info, rack.nBoards());
+    return homeOf(partitionOf(key));
 }
 
 std::vector<unsigned>
@@ -233,7 +225,7 @@ RackScheduler::commitMigration(const balance::Migration &m)
         // Drain-then-switch: everything enqueued before this tick
         // went to (and will finish at) the old home; everything
         // after routes to the new one. No job is in limbo.
-        partMap->reassign(part, m.step.to);
+        partMap.reassign(part, m.step.to);
         return;
     }
     // The fresh copy is whole: append its board to the partition's
@@ -242,7 +234,7 @@ RackScheduler::commitMigration(const balance::Migration &m)
     std::vector<unsigned> set = currentReplicas(part);
     if (std::find(set.begin(), set.end(), m.step.to) == set.end()) {
         set.push_back(m.step.to);
-        partMap->setReplicas(part, set);
+        partMap.setReplicas(part, set);
     }
     sim_assert(outstandingRepairs[m.tag] > 0,
                "repair committed for board %u with none outstanding",
@@ -254,11 +246,8 @@ RackScheduler::commitMigration(const balance::Migration &m)
 std::vector<unsigned>
 RackScheduler::currentReplicas(unsigned partition) const
 {
-    host::RouteInfo info;
-    info.key = partition;
-    info.hasKey = true;
     std::vector<unsigned> out;
-    partMap->candidates(info, rack.nBoards(), out);
+    partMap.candidates(partition, rack.nBoards(), out);
     return out;
 }
 
@@ -314,8 +303,8 @@ RackScheduler::repairBoard(unsigned b)
                 continue; // whole rack dark; leave it routed at b
             survivors.push_back(unsigned(r));
         }
-        partMap->setReplicas(p2, survivors);
-        if (survivors.size() < partMap->replicationWidth()) {
+        partMap.setReplicas(p2, survivors);
+        if (survivors.size() < partMap.replicationWidth()) {
             bool owed = ledger->frozen(p2);
             for (const RepairJob &j : owedRepairs)
                 owed |= j.partition == p2;

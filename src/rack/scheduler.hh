@@ -9,10 +9,10 @@
  *
  *  1. Placement — the request's key hashes onto one of
  *     `keyPartitions` key-range partitions; the partition selects a
- *     board through a mutable host::PartitionRouter map whose
- *     default is bit-identical to the replica-group hash policy
- *     (host/router.hh), so a rack that never rebalances routes
- *     exactly as before. The replication factor only widens the
+ *     board through a mutable balance::PartitionMap whose default
+ *     is the replica group of `replication` consecutive boards from
+ *     the partition's hash home, so a rack that never rebalances
+ *     routes by hash alone. The replication factor only widens the
  *     failover list.
  *
  *  2. Routing with failover — the candidates are tried in order: a
@@ -44,7 +44,7 @@
  *     Migration traffic and lands at the analytic delivery tick; a
  *     wire drop aborts at launch), its eligibility rule (the target
  *     must be Healthy) and its commit action
- *     (PartitionRouter::reassign). Every decision happens at
+ *     (PartitionMap::reassign). Every decision happens at
  *     enqueue time in trace order, so rebalancing is bit-identical
  *     at any --threads count.
  *
@@ -56,7 +56,7 @@
  *     over: in-flight migrations touching the board abort, the
  *     board is evicted from every partition's replica set (the
  *     surviving replica is promoted to primary via an explicit
- *     PartitionRouter replica-set override), and the replication
+ *     PartitionMap replica-set override), and the replication
  *     factor is restored by a Repair migration through the same
  *     ledger onto a fresh board, whose commit appends the replica
  *     (setReplicas); a dropped copy is retried at the next arrival.
@@ -89,8 +89,8 @@
 #include <vector>
 
 #include "balance/ledger.hh"
+#include "balance/partition_map.hh"
 #include "host/board_offload.hh"
-#include "host/router.hh"
 #include "rack/health.hh"
 #include "rack/rack.hh"
 
@@ -298,7 +298,7 @@ class RackScheduler
     Rack &rack;
     PlacementParams place;
     /** Mutable partition -> board map (also the replica policy). */
-    std::unique_ptr<host::PartitionRouter> partMap;
+    balance::PartitionMap partMap;
     std::vector<std::unique_ptr<host::BoardScheduler>> boardScheds;
     /** Failure detector + board fault model (host phase only). */
     std::unique_ptr<HealthMonitor> mon;

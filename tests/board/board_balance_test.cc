@@ -11,7 +11,7 @@
  *
  *  - drain-then-switch probes: a live skewed run must commit real
  *    migrations (forwarding-epoch deltas observed, exactly one
- *    router flip per commit), land byte-identical partition images
+ *    partition-map flip per commit), land byte-identical partition images
  *    wherever a partition ends up homed, and keep the link fabric's
  *    fate-exclusive byte accounting (workload / dropped / migration
  *    sum to offered);
@@ -155,7 +155,7 @@ struct Scenario
     {
         std::vector<unsigned> h;
         for (unsigned p = 0; p < kParts; ++p)
-            h.push_back(sched->balancer()->homeOf(p));
+            h.push_back(sched->partitions().homeOf(p, kDpus));
         return h;
     }
 };
@@ -173,19 +173,15 @@ expectImagesIntact(Scenario &s)
                       board::BoardBalancer::statePattern(part, i))
                 << "partition " << part << " byte " << i
                 << " corrupted (home "
-                << s.bal().homeOf(part) << ")";
+                << s.sched->partitions().homeOf(part, kDpus) << ")";
     }
 }
 
-/** EXPECTs the router and the balancer agree on every home, and the
- *  fabric's fate-exclusive byte classes sum to the offered total. */
+/** EXPECTs the fabric's fate-exclusive byte classes sum to the
+ *  offered total and every planned migration retired. */
 void
 expectInvariants(Scenario &s)
 {
-    for (unsigned p = 0; p < kParts; ++p)
-        EXPECT_EQ(s.sched->partitions().homeOf(p, kDpus),
-                  s.bal().homeOf(p))
-            << "router/balancer home split on partition " << p;
     board::LinkFabric &f = s.brd->fabric();
     EXPECT_EQ(f.offeredBytes(), f.bytesCarried() +
                                     f.droppedBytes() +
@@ -293,11 +289,11 @@ TEST(BoardBalance, SkewedRunCommitsMigrationsOffTheHotDpu)
     EXPECT_EQ(rep.aborted, 0u) << "no faults, nothing may abort";
 
     // At least one of the hot DPU's partitions found a new home,
-    // and each commit flipped the router (drain-then-switch: the
-    // flip count is visible as reassigned partitions).
+    // and each commit flipped the map (drain-then-switch: the flip
+    // count is visible as reassigned partitions).
     unsigned moved = 0;
     for (unsigned p : s.hotParts)
-        if (s.bal().homeOf(p) != s.hotDpu)
+        if (s.sched->partitions().homeOf(p, kDpus) != s.hotDpu)
             ++moved;
     EXPECT_GE(moved, 1u);
     EXPECT_GE(s.sched->partitions().reassignedCount(), 1u);

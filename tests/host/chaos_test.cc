@@ -230,14 +230,15 @@ runBoardChaos(std::uint64_t seed, unsigned threads)
         p.groupSize = 4;
         p.maxAttempts = 2;
         p.defaultTimeout = sim::Tick(2e9);
-        BoardScheduler sched(*b, p, makeRoundRobinRouter());
+        BoardScheduler sched(*b, p);
 
+        // Arrival i is pinned to DPU i mod n: an even stripe.
         sim::Rng rng(seed ^ 0xc0ffee);
         sim::Tick t = 0;
         for (unsigned i = 0; i < chaosJobs; ++i) {
             t += 50'000'000 + rng.below(200'000'000);
-            sched.enqueueAt(t, chaosJob(unsigned(rng.below(3)),
-                                        seed + i));
+            sched.enqueueAt(t, i % sched.nShards(),
+                            chaosJob(unsigned(rng.below(3)), seed + i));
         }
 
         sched.start();

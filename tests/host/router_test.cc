@@ -1,47 +1,19 @@
 /**
  * @file
- * Routing-law property tests for the pluggable Router policies
- * (host/router.hh). These are the invariants the board and rack
- * schedulers lean on: hash purity and spread, replica-group
- * membership as a pure function of the key, and exact round-robin
- * fairness.
+ * Routing-law property tests for the board's keyless hash policy
+ * (host/router.hh) and the placement hash it shares with the
+ * partition maps: purity, spread, and pinned values.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
-#include <set>
 #include <vector>
 
+#include "balance/partition_map.hh"
 #include "host/router.hh"
-#include "sim/rng.hh"
 
 using namespace dpu;
-using host::RouteInfo;
-using host::Router;
-
-namespace {
-
-RouteInfo
-keyedReq(std::uint64_t key)
-{
-    RouteInfo r;
-    r.app = "serve";
-    r.key = key;
-    r.hasKey = true;
-    return r;
-}
-
-RouteInfo
-seededReq(std::uint64_t seed)
-{
-    RouteInfo r;
-    r.app = "serve";
-    r.seed = seed;
-    return r;
-}
-
-} // namespace
 
 // ----------------------------------------------------------------
 // Hash policy
@@ -52,14 +24,14 @@ TEST(HashRouter, IsAPureFunctionOfTheRequest)
     auto a = host::makeHashRouter();
     auto b = host::makeHashRouter();
     for (std::uint64_t k = 0; k < 512; ++k) {
-        const unsigned s = a->route(keyedReq(k), 7);
+        const unsigned s = a->route("serve", k, 7);
         ASSERT_LT(s, 7u);
         // Same request, same instance, interleaved with other
         // requests: still the same shard (no hidden state).
-        EXPECT_EQ(a->route(keyedReq(k), 7), s);
+        EXPECT_EQ(a->route("serve", k, 7), s);
         // And a fresh instance agrees: the policy has no per-
         // instance identity.
-        EXPECT_EQ(b->route(keyedReq(k), 7), s);
+        EXPECT_EQ(b->route("serve", k, 7), s);
     }
 }
 
@@ -69,7 +41,7 @@ TEST(HashRouter, SpreadsKeysAcrossAllShards)
     std::map<unsigned, unsigned> hist;
     const unsigned n = 8, keys = 4096;
     for (std::uint64_t k = 0; k < keys; ++k)
-        ++hist[r->route(keyedReq(k), n)];
+        ++hist[r->route("serve", k, n)];
     ASSERT_EQ(hist.size(), n);
     for (const auto &[shard, cnt] : hist) {
         // Crude balance bound: every shard within 2x of fair share.
@@ -81,174 +53,12 @@ TEST(HashRouter, SpreadsKeysAcrossAllShards)
 TEST(HashRouter, AppNameAndSeedBothFeedTheMix)
 {
     auto r = host::makeHashRouter();
-    RouteInfo a = seededReq(99);
-    RouteInfo b = seededReq(99);
-    b.app = "other-app";
     // Not a universal law for any single pair, so probe many seeds:
     // the two apps must disagree somewhere.
     bool differ = false;
-    for (std::uint64_t s = 0; s < 64 && !differ; ++s) {
-        a.seed = b.seed = s;
-        differ = r->route(a, 16) != r->route(b, 16);
-    }
+    for (std::uint64_t s = 0; s < 64 && !differ; ++s)
+        differ = r->route("serve", s, 16) != r->route("other-app", s, 16);
     EXPECT_TRUE(differ);
-}
-
-// ----------------------------------------------------------------
-// Round-robin policy
-// ----------------------------------------------------------------
-
-TEST(RoundRobinRouter, ExactFairnessInArrivalOrder)
-{
-    auto r = host::makeRoundRobinRouter();
-    const unsigned n = 5, laps = 40;
-    std::vector<unsigned> cnt(n, 0);
-    for (unsigned i = 0; i < n * laps; ++i) {
-        const unsigned s = r->route(seededReq(i * 7919), n);
-        EXPECT_EQ(s, i % n) << "arrival " << i;
-        ++cnt[s];
-    }
-    for (unsigned s = 0; s < n; ++s)
-        EXPECT_EQ(cnt[s], laps) << "shard " << s;
-}
-
-TEST(RoundRobinRouter, CandidatesAdvanceTheCursorExactlyOnce)
-{
-    auto r = host::makeRoundRobinRouter();
-    std::vector<unsigned> c;
-    r->candidates(seededReq(1), 4, c);
-    ASSERT_EQ(c.size(), 1u);
-    EXPECT_EQ(c[0], 0u);
-    // The next arrival continues the stripe where candidates()
-    // left off — one cursor step per request, not per candidate.
-    EXPECT_EQ(r->route(seededReq(2), 4), 1u);
-}
-
-// ----------------------------------------------------------------
-// Replica-group policy (the rack placement law)
-// ----------------------------------------------------------------
-
-TEST(ReplicaGroupRouter, MembershipIsAPureFunctionOfTheKey)
-{
-    // The group a key lands in depends only on (key, nShards) —
-    // replication only widens the candidate list. This is what
-    // lets a rack raise replication without migrating data.
-    auto r1 = host::makeReplicaGroupRouter(1);
-    auto r2 = host::makeReplicaGroupRouter(2);
-    auto r3 = host::makeReplicaGroupRouter(3);
-    const unsigned n = 8;
-    for (std::uint64_t k = 0; k < 512; ++k) {
-        const RouteInfo req = keyedReq(k);
-        const unsigned primary = r1->route(req, n);
-        EXPECT_EQ(r2->route(req, n), primary);
-        EXPECT_EQ(r3->route(req, n), primary);
-
-        std::vector<unsigned> c1, c2, c3;
-        r1->candidates(req, n, c1);
-        r2->candidates(req, n, c2);
-        r3->candidates(req, n, c3);
-        ASSERT_EQ(c1.size(), 1u);
-        ASSERT_EQ(c2.size(), 2u);
-        ASSERT_EQ(c3.size(), 3u);
-        // Wider replication extends, never reorders: c2 and c3
-        // share c1 as a prefix.
-        EXPECT_EQ(c2[0], c1[0]);
-        EXPECT_EQ(c3[0], c1[0]);
-        EXPECT_EQ(c3[1], c2[1]);
-        // Candidates are distinct shards.
-        std::set<unsigned> uniq(c3.begin(), c3.end());
-        EXPECT_EQ(uniq.size(), c3.size()) << "key " << k;
-    }
-}
-
-TEST(ReplicaGroupRouter, GroupsWrapAndClampToTheShardCount)
-{
-    auto r = host::makeReplicaGroupRouter(4);
-    // replication 4 over 2 shards: candidate list clamps to 2.
-    std::vector<unsigned> c;
-    r->candidates(keyedReq(3), 2, c);
-    ASSERT_EQ(c.size(), 2u);
-    EXPECT_NE(c[0], c[1]);
-    // And over 3 shards the group wraps modulo nShards.
-    std::vector<unsigned> w;
-    r->candidates(keyedReq(3), 3, w);
-    ASSERT_EQ(w.size(), 3u);
-    for (unsigned i = 1; i < w.size(); ++i)
-        EXPECT_EQ(w[i], (w[0] + i) % 3);
-}
-
-// ----------------------------------------------------------------
-// Partition-mapped replica policy (the rack balancer's map)
-// ----------------------------------------------------------------
-
-namespace {
-
-/** The rack scheduler's routing slice: a bare partition index
- *  (empty app), exactly what PartitionRouter::defaultHomeOf
- *  rebuilds internally. */
-RouteInfo
-partReq(unsigned partition)
-{
-    RouteInfo r;
-    r.key = partition;
-    r.hasKey = true;
-    return r;
-}
-
-} // namespace
-
-TEST(PartitionRouter, DefaultMapMatchesReplicaGroupRouting)
-{
-    // A map with no reassignments must be bit-identical to the
-    // replica-group policy over the same partition keys — this is
-    // what keeps static racks on their golden snapshots.
-    const unsigned parts = 64;
-    auto pm = host::makePartitionRouter(parts, 2);
-    auto rg = host::makeReplicaGroupRouter(2);
-    for (unsigned n : {4u, 8u}) {
-        for (unsigned p = 0; p < parts; ++p) {
-            EXPECT_EQ(pm->route(partReq(p), n),
-                      rg->route(partReq(p), n));
-            EXPECT_EQ(pm->homeOf(p, n), pm->defaultHomeOf(p, n));
-            std::vector<unsigned> a, b;
-            pm->candidates(partReq(p), n, a);
-            rg->candidates(partReq(p), n, b);
-            EXPECT_EQ(a, b) << "partition " << p << ", " << n
-                            << " shards";
-        }
-    }
-    EXPECT_EQ(pm->reassignedCount(), 0u);
-}
-
-TEST(PartitionRouter, ReassignRehomesOnePartitionOnly)
-{
-    const unsigned parts = 16, n = 4;
-    auto pm = host::makePartitionRouter(parts, 2);
-    const unsigned victim = 5;
-    const unsigned oldHome = pm->homeOf(victim, n);
-    const unsigned newHome = (oldHome + 2) % n;
-    pm->reassign(victim, newHome);
-
-    EXPECT_TRUE(pm->reassigned(victim));
-    EXPECT_EQ(pm->reassignedCount(), 1u);
-    EXPECT_EQ(pm->homeOf(victim, n), newHome);
-    EXPECT_EQ(pm->route(partReq(victim), n), newHome);
-    // The hash home is remembered underneath the override.
-    EXPECT_EQ(pm->defaultHomeOf(victim, n), oldHome);
-    // Every other partition still routes by hash.
-    for (unsigned p = 0; p < parts; ++p) {
-        if (p == victim)
-            continue;
-        EXPECT_EQ(pm->homeOf(p, n), pm->defaultHomeOf(p, n));
-        EXPECT_FALSE(pm->reassigned(p));
-    }
-    // Failover order after the move: the new home leads, and the
-    // candidate list keeps its width and stays duplicate-free.
-    std::vector<unsigned> c;
-    pm->candidates(partReq(victim), n, c);
-    ASSERT_EQ(c.size(), 2u);
-    EXPECT_EQ(c[0], newHome);
-    EXPECT_NE(c[1], c[0]);
 }
 
 // ----------------------------------------------------------------
@@ -257,15 +67,38 @@ TEST(PartitionRouter, ReassignRehomesOnePartitionOnly)
 
 TEST(RouterHash, KeyAndSeedPathsAreBothStable)
 {
-    // routeHash is the one placement mix every key policy shares:
-    // pin a few values so an accidental reformulation (which would
-    // silently migrate every key in every golden) shows up here
-    // first, not in a golden diff three layers up.
-    const std::uint32_t hk = host::routeHash(keyedReq(0xdeadbeef));
-    const std::uint32_t hs =
-        host::routeHash(seededReq(0xdeadbeef));
-    // An explicit key must hash exactly like the legacy seed mix.
-    EXPECT_EQ(hk, hs);
-    EXPECT_EQ(host::routeHash(keyedReq(0xdeadbeef)), hk);
-    EXPECT_NE(host::routeHash(keyedReq(0xdeadbef0)), hk);
+    // placementHash is the one placement mix both paths share: the
+    // board's keyless (app, seed) routing and every partition map's
+    // default home. Literal values, so an accidental reformulation
+    // (which would silently migrate every key in every golden)
+    // shows up here first, not in a golden diff three layers up.
+    struct Pin
+    {
+        const char *app;
+        std::uint64_t seed;
+        std::uint32_t hash;
+    };
+    const Pin pins[] = {
+        {"serve", 0xdeadbeefull, 0xdcb2ce54u},
+        {"serve", 0x0ull, 0x654f0e6cu},
+        {"filter", 0x1000ull, 0x9a1d2540u},
+        {"", 0x0ull, 0x21e9da04u},
+        {"", 0x7ull, 0x2b2cd31du},
+        {"svm", 0x123456789abcdefull, 0x960bea8fu},
+    };
+    const auto r = host::makeHashRouter();
+    for (const Pin &p : pins) {
+        EXPECT_EQ(balance::placementHash(p.app, p.seed), p.hash)
+            << "(\"" << p.app << "\", " << p.seed << ")";
+        EXPECT_EQ(r->route(p.app, p.seed, 13), p.hash % 13);
+    }
+
+    // Default partition homes, partitions 0..7.
+    const balance::PartitionMap pm(8, 1);
+    const std::vector<unsigned> at4{0, 2, 1, 3, 2, 0, 3, 1};
+    const std::vector<unsigned> at8{4, 2, 1, 7, 6, 0, 3, 5};
+    for (unsigned p = 0; p < 8; ++p) {
+        EXPECT_EQ(pm.defaultHomeOf(p, 4), at4[p]) << "partition " << p;
+        EXPECT_EQ(pm.defaultHomeOf(p, 8), at8[p]) << "partition " << p;
+    }
 }
