@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "apps/disparity.hh"
 #include "apps/registry.hh"
 #include "apps/hll.hh"
@@ -60,6 +62,45 @@ TEST(HllApp, NtzVariantIsFasterThanNlz)
     EXPECT_NEAR(nlz.estimate / truth, 1.0, 0.05);
 }
 
+namespace {
+
+/** Simulated time as an integer picosecond tick. */
+long long
+ticks(double seconds)
+{
+    return std::llround(seconds * 1e12);
+}
+
+} // namespace
+
+TEST(HllApp, BatchTimingsArePinned)
+{
+    // The batch driver's simulated time for every hash/rank pairing,
+    // pinned to the tick: a change to the kernel's charges shows up
+    // here even where no golden or digest covers it.
+    HllConfig cfg;
+    cfg.nElements = 1 << 16;
+    cfg.cardinality = 1 << 12;
+    cfg.pBits = 10;
+    const struct
+    {
+        HllHash hash;
+        bool ntz;
+        long long tick;
+    } pins[] = {
+        {HllHash::Crc32, false, 267228406},
+        {HllHash::Crc32, true, 169374656},
+        {HllHash::Murmur64, false, 941345906},
+        {HllHash::Murmur64, true, 843504656},
+    };
+    for (const auto &pin : pins) {
+        cfg.hash = pin.hash;
+        cfg.useNtz = pin.ntz;
+        EXPECT_EQ(ticks(dpuHll(soc::dpu40nm(), cfg).seconds), pin.tick)
+            << "hash " << int(pin.hash) << " ntz " << pin.ntz;
+    }
+}
+
 TEST(JsonApp, TallyMatchesBaselineExactly)
 {
     AppResult r = runApp("json", {{"nRecords", "8192"}});
@@ -81,6 +122,15 @@ TEST(JsonApp, ThroughputNearPaperNumbers)
     EXPECT_GT(b.gbPerSec(), 0.45);
     EXPECT_LT(b.gbPerSec(), 0.95);
     EXPECT_EQ(b.tally, d.tally);
+}
+
+TEST(JsonApp, BatchTimingsArePinned)
+{
+    JsonConfig cfg;
+    cfg.nRecords = 2048;
+    EXPECT_EQ(ticks(dpuJson(soc::dpu40nm(), cfg).seconds), 114053567);
+    cfg.branchyParser = true;
+    EXPECT_EQ(ticks(dpuJson(soc::dpu40nm(), cfg).seconds), 396912317);
 }
 
 TEST(JsonApp, GainNearPaper)

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -207,6 +208,8 @@ TEST(BoardApps, DistributedHllMergesExactly)
     EXPECT_TRUE(res.sketchExact);
     EXPECT_GT(res.trueDistinct, 0u);
     EXPECT_LT(res.errorFrac, 0.15);
+    // Simulated time pinned to the tick (all four phases).
+    EXPECT_EQ(std::llround(res.seconds * 1e12), 16308379);
 }
 
 // ----------------------------------------------------------------
