@@ -3,7 +3,8 @@
  * Shared scaffolding for the co-design applications (Section 5):
  * the DPU-vs-Xeon result record with the paper's performance/watt
  * metric, helpers for staging workload data in simulated DDR, and
- * the per-lane slicing and DMEM-dump helpers kernels share.
+ * the per-lane slicing, DMEM-dump and result-word helpers kernels
+ * share.
  */
 
 #ifndef DPU_APPS_COMMON_HH
@@ -96,6 +97,29 @@ dumpToDdr(rt::DmsCtl &ctl, std::uint16_t src_off, mem::Addr dst,
         .event(6).noAutoInc().push(1);
     ctl.wfe(6);
     ctl.clearEvent(6);
+}
+
+/**
+ * End a lane with its one-word result: store @p value at DMEM
+ * @p off and dump it to DDR @p dst.
+ */
+inline void
+publishLaneWord(core::DpCore &c, rt::DmsCtl &ctl, std::uint32_t off,
+                std::uint64_t value, mem::Addr dst)
+{
+    c.dmem().store<std::uint64_t>(off, value);
+    c.dualIssue(2, 2);
+    dumpToDdr(ctl, std::uint16_t(off), dst, 8);
+}
+
+/** Sum the words @p n_lanes lanes published 8 bytes apart at @p base. */
+inline std::uint64_t
+sumLaneWords(soc::Soc &s, mem::Addr base, unsigned n_lanes)
+{
+    std::uint64_t sum = 0;
+    for (std::uint64_t w : unstage<std::uint64_t>(s, base, n_lanes))
+        sum += w;
+    return sum;
 }
 
 } // namespace dpu::apps

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "rt/dms_ctl.hh"
 #include "rt/sync.hh"
@@ -115,6 +116,33 @@ hitRate(const Stereo &st, const DisparityConfig &cfg,
         }
     }
     return double(ok) / double(total);
+}
+
+/** First-minimum SAD argmin the serving lane and validator share. */
+std::uint8_t
+sadArgmin(const std::uint8_t *left, const std::uint8_t *right,
+          std::uint32_t width, std::uint32_t x, unsigned max_shift,
+          unsigned window)
+{
+    const int hw = int(window) / 2;
+    unsigned best = 0;
+    std::int64_t best_sad = std::numeric_limits<std::int64_t>::max();
+    for (unsigned sft = 0; sft <= max_shift; ++sft) {
+        std::int64_t sad = 0;
+        for (int dx = -hw; dx <= hw; ++dx) {
+            int lx = int(x) + dx;
+            int rx = lx - int(sft);
+            if (lx < 0 || lx >= int(width) || rx < 0 ||
+                rx >= int(width))
+                continue;
+            sad += std::abs(int(left[lx]) - int(right[rx]));
+        }
+        if (sad < best_sad) {
+            best_sad = sad;
+            best = sft;
+        }
+    }
+    return std::uint8_t(best);
 }
 
 } // namespace
@@ -274,6 +302,90 @@ disparityApp(const DisparityConfig &cfg)
     r.matched = d.disparity == x.disparity &&
                 d.groundTruthHitRate > 0.80;
     return r;
+}
+
+// ----------------------------------------------------------------
+// Serving job: row-banded SAD argmin over a shift range
+// ----------------------------------------------------------------
+
+ServingJob
+disparityJob(const DisparityConfig &cfg, ServingContext ctx)
+{
+    const std::uint32_t w = cfg.width, h = cfg.height;
+    sim_assert(w % 4 == 0 && w <= 4096,
+               "serving disparity row must fit a DMEM buffer");
+    const std::uint64_t wh = std::uint64_t(w) * h;
+    const mem::Addr l_base = ctx.carve(wh);
+    const mem::Addr r_base = ctx.carve(wh);
+    const mem::Addr d_base = ctx.carve(wh);
+
+    soc::Soc *s = ctx.soc;
+    const std::uint64_t seed = ctx.seed ^ cfg.seed;
+    auto images = [=] {
+        sim::Rng rng{seed};
+        std::vector<std::uint8_t> v(wh * 2);
+        for (auto &px : v)
+            px = std::uint8_t(rng.below(256));
+        return v; // left then right
+    };
+
+    ServingJob job;
+    job.workUnits = double(wh);
+    job.unitName = "pixels";
+    job.stage = [=] {
+        auto v = images();
+        s->memory().store().write(l_base, v.data(), wh);
+        s->memory().store().write(r_base, v.data() + wh, wh);
+    };
+    job.lane = [=](core::DpCore &c, unsigned lane) {
+        Slice sl = laneSlice(h, ctx.nLanes, lane);
+        if (!sl.count)
+            return;
+        rt::DmsCtl ctl(c, s->dmsFor(c.id()));
+        const std::uint32_t l_off = 0, r_off = 4096,
+                            o_off = 8192;
+        std::vector<std::uint8_t> lrow(w), rrow(w), orow(w);
+        for (std::uint64_t r = sl.begin; r < sl.begin + sl.count;
+             ++r) {
+            ctl.resetArena();
+            ctl.ddrToDmem().rows(w / 4).width(4)
+                .from(l_base + r * w).to(l_off).event(0)
+                .noAutoInc().push(0);
+            ctl.ddrToDmem().rows(w / 4).width(4)
+                .from(r_base + r * w).to(r_off).event(1)
+                .noAutoInc().push(0);
+            ctl.wfe(0);
+            ctl.clearEvent(0);
+            ctl.wfe(1);
+            ctl.clearEvent(1);
+            c.dmem().read(l_off, lrow.data(), w);
+            c.dmem().read(r_off, rrow.data(), w);
+            for (std::uint32_t x = 0; x < w; ++x) {
+                orow[x] = sadArgmin(lrow.data(), rrow.data(), w, x,
+                                    cfg.maxShift, cfg.window);
+                // One |a-b| accumulate bundle per (shift, tap).
+                c.dualIssue((cfg.maxShift + 1) * cfg.window,
+                            (cfg.maxShift + 1) * cfg.window);
+            }
+            c.dmem().write(o_off, orow.data(), w);
+            c.dualIssue(w / 4, w / 4);
+            dumpToDdr(ctl, o_off, d_base + r * w, w);
+        }
+    };
+    job.validate = [=] {
+        auto v = images();
+        const std::uint8_t *left = v.data();
+        const std::uint8_t *right = v.data() + wh;
+        auto got = unstage<std::uint8_t>(*s, d_base, wh);
+        for (std::uint64_t r = 0; r < h; ++r)
+            for (std::uint32_t x = 0; x < w; ++x)
+                if (got[r * w + x] !=
+                    sadArgmin(left + r * w, right + r * w, w, x,
+                              cfg.maxShift, cfg.window))
+                    return false;
+        return true;
+    };
+    return job;
 }
 
 } // namespace dpu::apps

@@ -7,6 +7,7 @@
 
 #include "rt/dms_ctl.hh"
 #include "rt/sync.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "util/crc32.hh"
 #include "util/murmur64.hh"
@@ -75,10 +76,62 @@ estimate(const std::vector<std::uint8_t> &regs)
     return e;
 }
 
+std::uint64_t
+hashOf(std::uint64_t e, HllHash hash)
+{
+    if (hash == HllHash::Murmur64)
+        return util::murmur64Key(e);
+    const std::uint32_t lo = util::crc32Key64(e);
+    const std::uint32_t hi = util::crc32Key(lo ^ std::uint32_t(e >> 32));
+    return (std::uint64_t(hi) << 32) | lo;
+}
+
+void
+sketchStream(core::DpCore &c, rt::DmsCtl &ctl, mem::Addr src,
+             std::uint64_t bytes, std::uint32_t tile,
+             const HllConfig &cfg, std::vector<std::uint8_t> &regs)
+{
+    rt::StreamReader in(ctl, src, bytes, 0, tile, 2, 0, 0);
+    in.forEach([&](std::uint32_t off, std::uint32_t blen) {
+        for (std::uint32_t i = 0; i < blen; i += 8) {
+            const std::uint64_t e =
+                c.dmem().load<std::uint64_t>(off + i);
+            std::uint64_t h;
+            if (cfg.hash == HllHash::Crc32) {
+                // Two chained CRC32 steps build a 64-bit-quality
+                // hash; each is one cycle.
+                const std::uint32_t lo = c.crcHash64(e);
+                const std::uint32_t hi =
+                    c.crcHash(lo ^ std::uint32_t(e >> 32));
+                h = (std::uint64_t(hi) << 32) | lo;
+            } else {
+                h = util::murmur64Key(e);
+                // Charge the iterative multiplier for every 64x64
+                // multiply murmur performs.
+                for (std::uint64_t k = 0;
+                     k < util::murmur64MulCount(8); ++k)
+                    c.mul(64);
+                c.alu(10); // shifts/xors
+            }
+            // Register update path.
+            if (cfg.useNtz)
+                (void)c.ntz(h << cfg.pBits | 1);
+            else
+                (void)c.nlz(h << cfg.pBits | 1);
+            update(h, cfg.pBits, cfg.useNtz, regs);
+            // load + compare + conditional store, paired with the
+            // index arithmetic.
+            c.dualIssue(3, 3);
+        }
+    });
+}
+
 } // namespace hlldetail
 
 using hlldetail::estimate;
+using hlldetail::hashOf;
 using hlldetail::makeElements;
+using hlldetail::sketchStream;
 using hlldetail::update;
 
 HllResult
@@ -125,44 +178,9 @@ dpuHll(const soc::SocParams &params, const HllConfig &cfg)
                     break;
                 ctl.resetArena();
                 std::uint64_t off = j * chunk_bytes;
-                std::uint64_t len =
-                    std::min(chunk_bytes, bytes - off);
-                rt::StreamReader in(ctl, data_base + off, len, 0,
-                                    tile, 2, 0, 0);
-                in.forEach([&](std::uint32_t boff,
-                               std::uint32_t blen) {
-                    for (std::uint32_t i = 0; i < blen; i += 8) {
-                        std::uint64_t e =
-                            c.dmem().load<std::uint64_t>(boff + i);
-                        std::uint64_t h;
-                        if (cfg.hash == HllHash::Crc32) {
-                            // Two chained CRC32 steps build a
-                            // 64-bit-quality hash; each is one
-                            // cycle.
-                            std::uint32_t lo = c.crcHash64(e);
-                            std::uint32_t hi =
-                                c.crcHash(lo ^ std::uint32_t(e >> 32));
-                            h = (std::uint64_t(hi) << 32) | lo;
-                        } else {
-                            h = util::murmur64Key(e);
-                            // Charge the iterative multiplier for
-                            // every 64x64 multiply murmur performs.
-                            for (std::uint64_t k = 0;
-                                 k < util::murmur64MulCount(8); ++k)
-                                c.mul(64);
-                            c.alu(10); // shifts/xors
-                        }
-                        // Register update path.
-                        if (cfg.useNtz)
-                            (void)c.ntz(h << cfg.pBits | 1);
-                        else
-                            (void)c.nlz(h << cfg.pBits | 1);
-                        update(h, cfg.pBits, cfg.useNtz, regs);
-                        // load + compare + conditional store, paired
-                        // with the index arithmetic.
-                        c.dualIssue(3, 3);
-                    }
-                });
+                sketchStream(c, ctl, data_base + off,
+                             std::min(chunk_bytes, bytes - off), tile,
+                             cfg, regs);
             }
 
             // Publish registers (DMEM -> DDR) and merge at core 0.
@@ -221,18 +239,8 @@ xeonHll(const HllConfig &cfg)
     auto data = makeElements(cfg);
     const std::uint32_t m = 1u << cfg.pBits;
     std::vector<std::uint8_t> regs(m, 0);
-    for (std::uint64_t e : data) {
-        std::uint64_t h;
-        if (cfg.hash == HllHash::Crc32) {
-            std::uint32_t lo = util::crc32Key64(e);
-            std::uint32_t hi =
-                util::crc32Key(lo ^ std::uint32_t(e >> 32));
-            h = (std::uint64_t(hi) << 32) | lo;
-        } else {
-            h = util::murmur64Key(e);
-        }
-        update(h, cfg.pBits, cfg.useNtz, regs);
-    }
+    for (std::uint64_t e : data)
+        update(hashOf(e, cfg.hash), cfg.pBits, cfg.useNtz, regs);
 
     xeon::XeonModel model;
     const double n = double(cfg.nElements);
@@ -273,6 +281,73 @@ hllApp(const HllConfig &cfg)
                  double(cfg.cardinality);
     r.matched = d.estimate == x.estimate && err < 0.05;
     return r;
+}
+
+// ----------------------------------------------------------------
+// Serving job: static lane slices, per-lane register files merged
+// and replayed host-side
+// ----------------------------------------------------------------
+
+ServingJob
+hllJob(const HllConfig &cfg, ServingContext ctx)
+{
+    const std::uint32_t m = 1u << cfg.pBits;
+    sim_assert(m <= 8 * 1024, "register file exceeds DMEM budget");
+    const std::uint64_t n = cfg.nElements;
+    const mem::Addr data_base = ctx.carve(n * 8);
+    const mem::Addr res_base = ctx.carve(std::uint64_t(ctx.nLanes) * m);
+
+    soc::Soc *s = ctx.soc;
+    HllConfig gen = cfg;
+    gen.seed = ctx.seed ^ cfg.seed;
+
+    ServingJob job;
+    job.workUnits = double(n);
+    job.unitName = "elements";
+    job.stage = [=] { stage(*s, data_base, makeElements(gen)); };
+    job.lane = [=](core::DpCore &c, unsigned lane) {
+        Slice sl = laneSlice(n, ctx.nLanes, lane);
+        if (!sl.count)
+            return;
+        rt::DmsCtl ctl(c, s->dmsFor(c.id()));
+        constexpr std::uint32_t tile = 4096;
+        const std::uint32_t reg_off = 2 * tile;
+        std::vector<std::uint8_t> regs(m, 0);
+        for (std::uint32_t i = 0; i < m; ++i)
+            c.dmem().store<std::uint8_t>(reg_off + i, 0);
+        c.dualIssue(m / 8, m / 8);
+
+        sketchStream(c, ctl, data_base + sl.begin * 8, sl.count * 8,
+                     tile, cfg, regs);
+        c.dmem().write(reg_off, regs.data(), m);
+        c.dualIssue(m / 8, m / 8);
+        dumpToDdr(ctl, std::uint16_t(reg_off),
+                  res_base + std::uint64_t(lane) * m, m);
+    };
+    job.validate = [=] {
+        auto data = makeElements(gen);
+        bool ok = true;
+        std::vector<std::uint8_t> merged(m, 0);
+        for (unsigned l = 0; l < ctx.nLanes; ++l) {
+            Slice sl = laneSlice(n, ctx.nLanes, l);
+            std::vector<std::uint8_t> regs(m, 0);
+            for (std::uint64_t i = 0; i < sl.count; ++i)
+                update(hashOf(data[sl.begin + i], cfg.hash), cfg.pBits,
+                       cfg.useNtz, regs);
+            auto got = unstage<std::uint8_t>(
+                *s, res_base + std::uint64_t(l) * m, m);
+            ok = ok && got == regs;
+            for (std::uint32_t i = 0; i < m; ++i)
+                merged[i] = std::max(merged[i], regs[i]);
+        }
+        // The merged sketch must also estimate the true
+        // cardinality within the usual HLL error band.
+        double err =
+            std::abs(estimate(merged) - double(cfg.cardinality)) /
+            double(cfg.cardinality);
+        return ok && err < 0.1;
+    };
+    return job;
 }
 
 } // namespace dpu::apps

@@ -53,7 +53,11 @@ struct HllResult
     double gbPerSec() const { return elements * 8.0 / seconds / 1e9; }
 };
 
-/** Internals shared with the serving kernel (apps/serving.cc). */
+/**
+ * The HLL kernel pieces every driver shares: the batch runner and
+ * serving job in hll.cc, the board HLL (board/board_apps.cc), and
+ * the reference tests.
+ */
 namespace hlldetail {
 /** Synthetic multiset with a known number of distinct values. */
 std::vector<std::uint64_t> makeElements(const HllConfig &cfg);
@@ -62,6 +66,18 @@ void update(std::uint64_t h, unsigned p_bits, bool use_ntz,
             std::vector<std::uint8_t> &regs);
 /** Harmonic-mean estimate with small-range correction. */
 double estimate(const std::vector<std::uint8_t> &regs);
+/** Host replay of the kernel's element hash. */
+std::uint64_t hashOf(std::uint64_t e, HllHash hash);
+/**
+ * The device kernel: stream @p bytes of elements from DDR @p src
+ * through double-buffered @p tile-byte DMEM tiles at offset 0 and
+ * fold each element's hash and rank into @p regs, charging @p c
+ * for cfg.hash, cfg.useNtz and the register update.
+ */
+void sketchStream(core::DpCore &c, rt::DmsCtl &ctl, mem::Addr src,
+                  std::uint64_t bytes, std::uint32_t tile,
+                  const HllConfig &cfg,
+                  std::vector<std::uint8_t> &regs);
 } // namespace hlldetail
 
 /** Run on the DPU simulator. */

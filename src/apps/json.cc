@@ -2,6 +2,7 @@
 
 #include "apps/entry.hh"
 
+#include <memory>
 #include <vector>
 
 #include "rt/dms_ctl.hh"
@@ -122,6 +123,80 @@ namespace {
 
 constexpr std::uint32_t padBytes = 1024; // Section 5.5's padding
 
+/**
+ * One core's share of a text of @p bytes at DDR @p base split into
+ * @p chunk-byte chunks: read chunk @p lane plus padding, parse the
+ * whole records it owns, and charge the parser's cost model. A
+ * chunk past the end of the text tallies nothing and charges
+ * nothing.
+ */
+JsonTally
+laneTally(core::DpCore &c, rt::DmsCtl &ctl, mem::Addr base,
+          std::uint64_t bytes, std::uint64_t chunk, unsigned lane,
+          bool branchy)
+{
+    // Lanes other than the first also read the byte just before
+    // their chunk: a record is theirs to skip only when it
+    // STRADDLES the boundary, i.e. when that byte is not a newline.
+    std::uint64_t begin = std::uint64_t(lane) * chunk;
+    if (begin >= bytes)
+        return {};
+    unsigned lead = lane > 0 ? 1 : 0;
+    begin -= lead;
+    // Read the chunk plus padding; the extra bytes cover a record
+    // straddling the boundary (Section 5.5).
+    std::uint64_t want = std::min<std::uint64_t>(
+        chunk + lead + padBytes, bytes - begin);
+
+    // Triple-buffered 8 KB tiles, exactly as the paper.
+    std::vector<char> local;
+    local.reserve(want);
+    rt::StreamReader in(ctl, base + begin, want, 0, 8192, 3, 0, 0);
+    in.forEach([&](std::uint32_t off, std::uint32_t blen) {
+        std::size_t at = local.size();
+        local.resize(at + blen);
+        c.dmem().read(off, local.data() + at, blen);
+    });
+
+    // Skip into the first whole record; parse through the chunk
+    // end until the straddling record closes.
+    std::uint64_t from = 0;
+    if (lane > 0) {
+        while (from < local.size() && local[from] != '\n')
+            ++from;
+        ++from; // one past the newline
+    }
+    std::uint64_t to =
+        std::min<std::uint64_t>(chunk + lead, local.size());
+    while (to < local.size() && local[to - 1] != '\n')
+        ++to;
+    if (from >= to)
+        return {};
+
+    std::uint64_t span = to - from;
+    JsonTally t = parseSpan(local.data() + from, span);
+
+    // Cost model: the jump-table parser runs the dispatch loop at
+    // ~6 cycles/byte plus ~30 cycles of value materialization per
+    // field. The branchy SAJSON port pays 13.2 cycles/byte in the
+    // pipeline (Section 5.5) plus front-end stalls — its "large
+    // number of instructions" thrashes the 8 KB I-cache — which is
+    // what pins the whole chip at ~645 MB/s.
+    if (branchy)
+        c.cycles(sim::Cycles(span * 33));
+    else
+        c.cycles(sim::Cycles(span * 6));
+    c.cycles(t.fields * 30);
+    return t;
+}
+
+/** Per-core chunk of a @p bytes text split over @p n_lanes. */
+std::uint64_t
+chunkBytes(std::uint64_t bytes, unsigned n_lanes)
+{
+    return alignUp((bytes + n_lanes - 1) / n_lanes, 4);
+}
+
 } // namespace
 
 JsonResult
@@ -135,69 +210,14 @@ dpuJson(const soc::SocParams &params, const JsonConfig &cfg)
     soc::Soc s(p);
     s.memory().store().write(0, text.data(), bytes);
 
-    const std::uint64_t chunk =
-        alignUp((bytes + cfg.nCores - 1) / cfg.nCores, 4);
+    const std::uint64_t chunk = chunkBytes(bytes, cfg.nCores);
 
     std::vector<JsonTally> tallies(cfg.nCores);
     for (unsigned id = 0; id < cfg.nCores; ++id) {
         s.start(id, [&, id](core::DpCore &c) {
             rt::DmsCtl ctl(c, s.dmsFor(id));
-            // Cores other than the first also read the byte just
-            // before their chunk: a record is theirs to skip only
-            // when it STRADDLES the boundary, i.e. when that byte
-            // is not a newline.
-            std::uint64_t begin = std::uint64_t(id) * chunk;
-            if (begin >= bytes)
-                return;
-            unsigned lead = id > 0 ? 1 : 0;
-            begin -= lead;
-            // Read the chunk plus padding; the extra bytes cover a
-            // record straddling the boundary (Section 5.5).
-            std::uint64_t want =
-                std::min<std::uint64_t>(chunk + lead + padBytes,
-                                        bytes - begin);
-
-            // Triple-buffered 8 KB tiles, exactly as the paper.
-            std::vector<char> local;
-            local.reserve(want);
-            rt::StreamReader in(ctl, begin, want, 0, 8192, 3, 0, 0);
-            in.forEach([&](std::uint32_t off, std::uint32_t blen) {
-                std::size_t at = local.size();
-                local.resize(at + blen);
-                c.dmem().read(off, local.data() + at, blen);
-            });
-
-            // Skip into the first whole record; parse through the
-            // chunk end until the straddling record closes.
-            std::uint64_t from = 0;
-            if (id > 0) {
-                while (from < local.size() && local[from] != '\n')
-                    ++from;
-                ++from; // one past the newline
-            }
-            std::uint64_t to = std::min<std::uint64_t>(
-                chunk + lead, local.size());
-            while (to < local.size() && local[to - 1] != '\n')
-                ++to;
-            if (from >= to)
-                return;
-
-            std::uint64_t span = to - from;
-            JsonTally t = parseSpan(local.data() + from, span);
-            tallies[id] = t;
-
-            // Cost model: the jump-table parser runs the dispatch
-            // loop at ~6 cycles/byte plus ~30 cycles of value
-            // materialization per field. The branchy SAJSON port
-            // pays 13.2 cycles/byte in the pipeline (Section 5.5)
-            // plus front-end stalls — its "large number of
-            // instructions" thrashes the 8 KB I-cache — which is
-            // what pins the whole chip at ~645 MB/s.
-            if (cfg.branchyParser)
-                c.cycles(sim::Cycles(span * 33));
-            else
-                c.cycles(sim::Cycles(span * 6));
-            c.cycles(t.fields * 30);
+            tallies[id] = laneTally(c, ctl, 0, bytes, chunk, id,
+                                    cfg.branchyParser);
         });
     }
     sim::Tick t = s.run();
@@ -246,6 +266,57 @@ jsonApp(const JsonConfig &cfg)
     r.unitName = "bytes";
     r.matched = d.tally == x.tally;
     return r;
+}
+
+// ----------------------------------------------------------------
+// Serving job: boundary-exact per-lane parse, summed tallies
+// ----------------------------------------------------------------
+
+ServingJob
+jsonJob(const JsonConfig &cfg, ServingContext ctx)
+{
+    JsonConfig gen = cfg;
+    gen.seed = ctx.seed ^ cfg.seed;
+    // Generate once at job-build time: the text's size fixes the
+    // chunking and every lane's slice.
+    auto text = std::make_shared<std::string>(makeRecords(gen));
+    const std::uint64_t bytes = text->size();
+    const mem::Addr data_base = ctx.carve(bytes + padBytes);
+    const mem::Addr res_base = ctx.carve(ctx.nLanes * 24);
+    const std::uint64_t chunk = chunkBytes(bytes, ctx.nLanes);
+
+    soc::Soc *s = ctx.soc;
+
+    ServingJob job;
+    job.workUnits = double(bytes);
+    job.unitName = "bytes";
+    job.stage = [=] {
+        s->memory().store().write(data_base, text->data(), bytes);
+    };
+    job.lane = [=](core::DpCore &c, unsigned lane) {
+        rt::DmsCtl ctl(c, s->dmsFor(c.id()));
+        const JsonTally t = laneTally(c, ctl, data_base, bytes, chunk,
+                                      lane, cfg.branchyParser);
+        const std::uint32_t out_off = 24 * 1024;
+        c.dmem().store<std::uint64_t>(out_off, t.records);
+        c.dmem().store<std::uint64_t>(out_off + 8, t.fields);
+        c.dmem().store<std::uint64_t>(out_off + 16, t.intSum);
+        c.dualIssue(6, 6);
+        dumpToDdr(ctl, out_off, res_base + lane * 24, 24);
+    };
+    job.validate = [=] {
+        JsonTally expect = parseSpan(text->data(), bytes);
+        JsonTally got;
+        for (unsigned l = 0; l < ctx.nLanes; ++l) {
+            auto w =
+                unstage<std::uint64_t>(*s, res_base + l * 24, 3);
+            got.records += w[0];
+            got.fields += w[1];
+            got.intSum += w[2];
+        }
+        return got == expect;
+    };
+    return job;
 }
 
 } // namespace dpu::apps

@@ -57,7 +57,7 @@ struct JsonResult
     double gbPerSec() const { return bytes / seconds / 1e9; }
 };
 
-/** Internals shared with the serving kernel (apps/serving.cc). */
+/** The generator and FSM the reference tests share. */
 namespace jsondetail {
 /** The synthetic record generator both platforms parse. */
 std::string makeRecords(const JsonConfig &cfg);

@@ -4,7 +4,6 @@
 
 #include <charconv>
 
-#include "apps/serving.hh"
 #include "sim/logging.hh"
 
 namespace dpu::apps {
@@ -76,7 +75,7 @@ makeSpec(std::string name, std::string summary, double paper_gain,
          C defaults,
          bool (*set_field)(C &, std::string_view, std::string_view),
          AppResult (*run)(const C &),
-         ServingJob (*serve)(const C &, const ServingContext &))
+         ServingJob (*serve)(const C &, ServingContext))
 {
     AppSpec spec;
     spec.name = std::move(name);
@@ -209,12 +208,12 @@ buildRegistry()
 
     r.push_back(makeSpec<SvmConfig>(
         "svm", "SMO training / fixed-point inference (Section 5.1)",
-        15.0, SvmConfig{}, svmSet, svmApp, serving::svmJob));
+        15.0, SvmConfig{}, svmSet, svmApp, svmJob));
 
     r.push_back(makeSpec<SimSearchConfig>(
         "simsearch", "tf-idf similarity scoring (Section 5.2)", 3.9,
         SimSearchConfig{}, simSearchSet, simSearchApp,
-        serving::simSearchJob));
+        simSearchJob));
 
     {
         // Figure 14's operating point (8 MB of column per core).
@@ -222,7 +221,7 @@ buildRegistry()
         f.rowsPerCore = 256 << 10;
         r.push_back(makeSpec<sql::FilterConfig>(
             "filter", "SQL predicate scan via FILT (Section 5.3)",
-            6.7, f, filterSet, sql::filterApp, serving::filterJob));
+            6.7, f, filterSet, sql::filterApp, sql::filterJob));
     }
 
     {
@@ -230,7 +229,7 @@ buildRegistry()
         low.ndv = 256;
         r.push_back(makeSpec<sql::GroupByConfig>(
             "groupby-low", "low-NDV aggregation (Section 5.3)", 6.7,
-            low, groupBySet, sql::groupByLowApp, serving::groupByJob));
+            low, groupBySet, sql::groupByLowApp, sql::groupByJob));
     }
     {
         sql::GroupByConfig high;
@@ -238,12 +237,12 @@ buildRegistry()
         r.push_back(makeSpec<sql::GroupByConfig>(
             "groupby-high",
             "high-NDV partitioned aggregation (Section 5.3)", 9.7,
-            high, groupBySet, sql::groupByHighApp, serving::groupByJob));
+            high, groupBySet, sql::groupByHighApp, sql::groupByJob));
     }
 
     r.push_back(makeSpec<HllConfig>(
         "hll-crc", "HyperLogLog with CRC32 hashing (Section 5.4)",
-        9.0, HllConfig{}, hllSet, hllApp, serving::hllJob));
+        9.0, HllConfig{}, hllSet, hllApp, hllJob));
 
     {
         HllConfig murmur;
@@ -251,22 +250,33 @@ buildRegistry()
         r.push_back(makeSpec<HllConfig>(
             "hll-murmur",
             "HyperLogLog with Murmur64 hashing (Section 5.4)", 1.5,
-            murmur, hllSet, hllApp, serving::hllJob));
+            murmur, hllSet, hllApp, hllJob));
     }
 
     r.push_back(makeSpec<JsonConfig>(
         "json", "jump-table JSON parsing (Section 5.5)", 8.0,
-        JsonConfig{}, jsonSet, jsonApp, serving::jsonJob));
+        JsonConfig{}, jsonSet, jsonApp, jsonJob));
 
     r.push_back(makeSpec<DisparityConfig>(
         "disparity", "stereo disparity SAD argmin (Section 5.6)",
         8.6, DisparityConfig{}, disparitySet, disparityApp,
-        serving::disparityJob));
+        disparityJob));
 
     return r;
 }
 
 } // namespace
+
+mem::Addr
+ServingContext::carve(std::uint64_t bytes)
+{
+    sim_assert(carved + bytes <= arenaBytes,
+               "serving job overruns its %llu-byte arena",
+               (unsigned long long)arenaBytes);
+    const mem::Addr at = arena + carved;
+    carved += alignUp(bytes, 64);
+    return at;
+}
 
 const std::vector<AppSpec> &
 registry()

@@ -44,15 +44,36 @@ struct ServingContext
     mem::Addr arena = 0;         ///< DDR scratch base (job-private)
     std::uint64_t arenaBytes = 0;
     std::uint64_t seed = 0;      ///< per-request seed
+    std::uint64_t carved = 0;    ///< arena bytes carve() handed out
+
+    /**
+     * Lay out the arena: the next block of @p bytes, 64-byte
+     * aligned, in call order from the arena base. Fatal when the
+     * block would overrun the arena.
+     */
+    mem::Addr carve(std::uint64_t bytes);
 };
 
 /**
- * One dispatched request, instantiated on a core group. stage()
- * runs host-side before dispatch (places inputs in DDR through the
- * backing store); lane() is the kernel body executed on core
- * baseCore+lane for every lane; validate() runs host-side after all
- * lanes acked and checks the outputs (again via the backing store,
- * which DMS writes reach directly).
+ * One dispatched request: a Section 5 app re-cast as a kernel the
+ * offload scheduler can dispatch to an arbitrary group of dpCores
+ * inside a long-lived serving chip (the deployment model of Section
+ * 2.4, where the A9 host feeds work to the dpCores over the MBC).
+ *
+ * Unlike the head-to-head runners, which build a whole Soc per
+ * invocation, a serving job stages its inputs into its job-private
+ * DDR arena, runs one kernel lane per group core, and is validated
+ * host-side against an exact integer replay:
+ *  - stage() runs host-side before dispatch and places inputs in DDR
+ *    through the backing store;
+ *  - lane() is the kernel body executed on core baseCore+lane for
+ *    every lane;
+ *  - validate() runs host-side after all lanes acked and checks the
+ *    outputs, again through the backing store.
+ *
+ * All input/output moves go through the DMS, which reads and writes
+ * the DDR backing store directly, so jobs never depend on the
+ * non-coherent core caches observing another job's data.
  */
 struct ServingJob
 {

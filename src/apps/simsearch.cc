@@ -355,4 +355,95 @@ simSearchApp(const SimSearchConfig &cfg)
     return r;
 }
 
+// ----------------------------------------------------------------
+// Serving job: posting-list scan against a dense query table
+// ----------------------------------------------------------------
+
+ServingJob
+simSearchJob(const SimSearchConfig &cfg, ServingContext ctx)
+{
+    sim_assert(cfg.vocab > 0 && cfg.vocab * 4 <= 8192,
+               "serving simsearch needs the query table in DMEM");
+    const std::uint64_t n_post =
+        std::uint64_t(cfg.nDocs) * cfg.avgTermsPerDoc;
+    const std::uint32_t q_bytes = cfg.vocab * 4;
+    const mem::Addr q_base = ctx.carve(q_bytes);
+    const mem::Addr p_base = ctx.carve(n_post * 8);
+    const mem::Addr res_base = ctx.carve(ctx.nLanes * 8);
+
+    soc::Soc *s = ctx.soc;
+    const std::uint64_t seed = ctx.seed ^ cfg.seed;
+    auto query = [=] {
+        sim::Rng rng{seed};
+        std::vector<std::int32_t> q(cfg.vocab, 0);
+        for (std::uint32_t t = 0; t < cfg.termsPerQuery; ++t)
+            q[rng.below(cfg.vocab)] =
+                std::int32_t(1 + rng.below(1 << 10));
+        return q;
+    };
+    auto postings = [=] {
+        sim::Rng rng{seed + 1};
+        std::vector<std::uint32_t> v(n_post * 2);
+        for (std::uint64_t i = 0; i < n_post; ++i) {
+            v[i * 2] = std::uint32_t(rng.below(cfg.vocab));
+            v[i * 2 + 1] = std::uint32_t(1 + rng.below(1 << 10));
+        }
+        return v;
+    };
+
+    ServingJob job;
+    job.workUnits = double(n_post);
+    job.unitName = "postings";
+    job.stage = [=] {
+        stage(*s, q_base, query());
+        stage(*s, p_base, postings());
+    };
+    job.lane = [=](core::DpCore &c, unsigned lane) {
+        Slice sl = laneSlice(n_post, ctx.nLanes, lane);
+        if (!sl.count)
+            return;
+        rt::DmsCtl ctl(c, s->dmsFor(c.id()));
+        constexpr std::uint32_t tile = 8192;
+        const std::uint32_t q_off = 2 * tile;
+
+        ctl.ddrToDmem().rows(cfg.vocab).width(4).from(q_base)
+            .to(q_off).event(7).noAutoInc().push(0);
+        ctl.wfe(7);
+        ctl.clearEvent(7);
+
+        std::int64_t score = 0;
+        rt::StreamReader in(ctl, p_base + sl.begin * 8,
+                            sl.count * 8, 0, tile, 2, 0, 0);
+        in.forEach([&](std::uint32_t off, std::uint32_t blen) {
+            for (std::uint32_t i = 0; i < blen; i += 8) {
+                std::uint32_t term =
+                    c.dmem().load<std::uint32_t>(off + i);
+                std::int32_t qw = std::int32_t(
+                    c.dmem().load<std::uint32_t>(q_off + term * 4));
+                c.dualIssue(3, 3);
+                if (qw) {
+                    std::int32_t w =
+                        std::int32_t(c.dmem().load<std::uint32_t>(
+                            off + i + 4));
+                    score += std::int64_t(qw) * w;
+                    c.mul(32); // Q10.22 accumulate
+                }
+            }
+        });
+        publishLaneWord(c, ctl, q_off + q_bytes, std::uint64_t(score),
+                        res_base + lane * 8);
+    };
+    job.validate = [=] {
+        auto q = query();
+        auto v = postings();
+        std::int64_t expect = 0;
+        for (std::uint64_t i = 0; i < n_post; ++i)
+            expect += std::int64_t(q[v[i * 2]]) *
+                      std::int32_t(v[i * 2 + 1]);
+        return std::int64_t(sumLaneWords(*s, res_base, ctx.nLanes)) ==
+               expect;
+    };
+    return job;
+}
+
 } // namespace dpu::apps

@@ -2,9 +2,11 @@
 
 #include "apps/entry.hh"
 
+#include <algorithm>
 #include <vector>
 
 #include "rt/dms_ctl.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 
 namespace dpu::apps::sql {
@@ -130,6 +132,53 @@ filterApp(const FilterConfig &cfg)
     r.unitName = "tuples";
     r.matched = d.passed == x.passed;
     return r;
+}
+
+// ----------------------------------------------------------------
+// Serving job: per-lane FILT scan over a column slice
+// ----------------------------------------------------------------
+
+ServingJob
+filterJob(const FilterConfig &cfg, ServingContext ctx)
+{
+    const std::uint64_t rows =
+        std::uint64_t(cfg.rowsPerCore) * ctx.nLanes;
+    const std::uint32_t tile = std::min<std::uint32_t>(
+        cfg.tileBytes ? cfg.tileBytes : 8192, 8192);
+    sim_assert(tile % 4 == 0, "tile must be element aligned");
+    const mem::Addr data_base = ctx.carve(rows * 4);
+    const mem::Addr res_base = ctx.carve(ctx.nLanes * 8);
+
+    soc::Soc *s = ctx.soc;
+    const std::uint64_t seed = ctx.seed ^ cfg.seed;
+
+    ServingJob job;
+    job.workUnits = double(rows);
+    job.unitName = "tuples";
+    job.stage = [=] { stage(*s, data_base, makeColumn(rows, seed)); };
+    job.lane = [=](core::DpCore &c, unsigned lane) {
+        Slice sl = laneSlice(rows, ctx.nLanes, lane);
+        if (!sl.count)
+            return;
+        rt::DmsCtl ctl(c, s->dmsFor(c.id()));
+        const std::uint32_t bv_off = 2 * tile;
+        std::uint64_t passed = 0;
+        rt::StreamReader in(ctl, data_base + sl.begin * 4,
+                            sl.count * 4, 0, tile, 2, 0, 0);
+        in.forEach([&](std::uint32_t off, std::uint32_t blen) {
+            passed += c.filt(off, blen / 4, 4, cfg.lo, cfg.hi,
+                             bv_off);
+        });
+        publishLaneWord(c, ctl, bv_off + tile / 8, passed,
+                        res_base + lane * 8);
+    };
+    job.validate = [=] {
+        std::uint64_t expect = 0;
+        for (std::uint32_t x : makeColumn(rows, seed))
+            expect += (x >= cfg.lo && x <= cfg.hi);
+        return sumLaneWords(*s, res_base, ctx.nLanes) == expect;
+    };
+    return job;
 }
 
 } // namespace dpu::apps::sql

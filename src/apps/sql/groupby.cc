@@ -566,4 +566,86 @@ groupByHighApp(const GroupByConfig &cfg)
                 xeonGroupByHighNdv(cfg));
 }
 
+// ----------------------------------------------------------------
+// Serving job: per-lane DMEM sum tables over interleaved
+// (key, value) pairs, host merge
+// ----------------------------------------------------------------
+
+ServingJob
+groupByJob(const GroupByConfig &cfg, ServingContext ctx)
+{
+    sim_assert(cfg.ndv > 0 && cfg.ndv <= 1024,
+               "serving group-by needs the table in DMEM (ndv %u)",
+               cfg.ndv);
+    const std::uint64_t rows = cfg.nRows;
+    const std::uint32_t tab_bytes = cfg.ndv * 8;
+    const mem::Addr data_base = ctx.carve(rows * 8);
+    const mem::Addr res_base =
+        ctx.carve(std::uint64_t(ctx.nLanes) * tab_bytes);
+
+    soc::Soc *s = ctx.soc;
+    const std::uint64_t seed = ctx.seed ^ cfg.seed;
+    auto table = [=] {
+        sim::Rng rng{seed};
+        std::vector<std::uint32_t> v(rows * 2);
+        for (std::uint64_t r = 0; r < rows; ++r) {
+            v[r * 2] = std::uint32_t(rng.below(cfg.ndv));
+            v[r * 2 + 1] = std::uint32_t(rng.below(1 << 16));
+        }
+        return v;
+    };
+
+    ServingJob job;
+    job.workUnits = double(rows);
+    job.unitName = "rows";
+    job.stage = [=] { stage(*s, data_base, table()); };
+    job.lane = [=](core::DpCore &c, unsigned lane) {
+        Slice sl = laneSlice(rows, ctx.nLanes, lane);
+        if (!sl.count)
+            return;
+        rt::DmsCtl ctl(c, s->dmsFor(c.id()));
+        constexpr std::uint32_t tile = 8192;
+        const std::uint32_t tab_off = 2 * tile;
+        for (std::uint32_t g = 0; g < cfg.ndv; ++g)
+            c.dmem().store<std::uint64_t>(tab_off + g * 8, 0);
+        c.dualIssue(cfg.ndv / 4 + 1, cfg.ndv / 4 + 1);
+
+        rt::StreamReader in(ctl, data_base + sl.begin * 8,
+                            sl.count * 8, 0, tile, 2, 0, 0);
+        in.forEach([&](std::uint32_t off, std::uint32_t blen) {
+            for (std::uint32_t i = 0; i < blen; i += 8) {
+                std::uint32_t key =
+                    c.dmem().load<std::uint32_t>(off + i);
+                std::uint32_t val =
+                    c.dmem().load<std::uint32_t>(off + i + 4);
+                std::uint64_t sum = c.dmem().load<std::uint64_t>(
+                    tab_off + key * 8);
+                c.dmem().store<std::uint64_t>(tab_off + key * 8,
+                                              sum + val);
+                // 2 loads + rmw, paired with index arithmetic.
+                c.dualIssue(3, 3);
+            }
+        });
+        dumpToDdr(ctl, std::uint16_t(tab_off),
+                  res_base + std::uint64_t(lane) * tab_bytes,
+                  tab_bytes);
+    };
+    job.validate = [=] {
+        auto v = table();
+        std::vector<std::uint64_t> expect(cfg.ndv, 0);
+        for (std::uint64_t r = 0; r < rows; ++r)
+            expect[v[r * 2]] += v[r * 2 + 1];
+        std::vector<std::uint64_t> got(cfg.ndv, 0);
+        for (unsigned l = 0; l < ctx.nLanes; ++l) {
+            auto part = unstage<std::uint64_t>(
+                *s, res_base + std::uint64_t(l) * tab_bytes,
+                cfg.ndv);
+            for (std::uint32_t g = 0; g < cfg.ndv; ++g)
+                got[g] += part[g];
+        }
+        return got == expect;
+    };
+    return job;
+}
+
 } // namespace dpu::apps::sql

@@ -325,4 +325,93 @@ svmApp(const SvmConfig &cfg)
     return r;
 }
 
+// ----------------------------------------------------------------
+// Serving job: classify a staged test batch against staged weights
+// ----------------------------------------------------------------
+
+ServingJob
+svmJob(const SvmConfig &cfg, ServingContext ctx)
+{
+    const std::uint32_t dims = cfg.dims;
+    sim_assert(dims > 0 && dims * 4 <= 2048,
+               "weight vector must fit its DMEM slot");
+    const std::uint64_t n = cfg.nTest;
+    const std::uint32_t row_bytes = dims * 4;
+    const mem::Addr w_base = ctx.carve(row_bytes);
+    const mem::Addr x_base = ctx.carve(n * row_bytes);
+    const mem::Addr res_base = ctx.carve(ctx.nLanes * 8);
+
+    soc::Soc *s = ctx.soc;
+    const std::uint64_t seed = ctx.seed ^ cfg.seed;
+    auto model = [=] {
+        sim::Rng rng{seed};
+        std::vector<std::int32_t> v(dims + n * std::uint64_t(dims));
+        for (auto &x : v)
+            x = std::int32_t(rng.below(2048)) - 1024;
+        return v; // weights first, then samples row-major
+    };
+
+    ServingJob job;
+    job.workUnits = double(n);
+    job.unitName = "samples";
+    job.stage = [=] {
+        auto v = model();
+        s->memory().store().write(w_base, v.data(), row_bytes);
+        s->memory().store().write(x_base, v.data() + dims,
+                                  n * std::uint64_t(row_bytes));
+    };
+    job.lane = [=](core::DpCore &c, unsigned lane) {
+        Slice sl = laneSlice(n, ctx.nLanes, lane);
+        if (!sl.count)
+            return;
+        rt::DmsCtl ctl(c, s->dmsFor(c.id()));
+        // Whole samples per tile so no row straddles a buffer.
+        const std::uint32_t per_tile =
+            std::max<std::uint32_t>(1, 4096 / row_bytes);
+        const std::uint32_t tile = per_tile * row_bytes;
+        const std::uint32_t w_off = 2 * tile;
+
+        ctl.ddrToDmem().rows(dims).width(4).from(w_base).to(w_off)
+            .event(7).noAutoInc().push(0);
+        ctl.wfe(7);
+        ctl.clearEvent(7);
+
+        std::uint64_t positive = 0;
+        rt::StreamReader in(ctl, x_base + sl.begin * row_bytes,
+                            sl.count * row_bytes, 0, tile, 2, 0, 0);
+        in.forEach([&](std::uint32_t off, std::uint32_t blen) {
+            for (std::uint32_t r = 0; r < blen; r += row_bytes) {
+                std::int64_t dot = 0;
+                for (std::uint32_t d = 0; d < dims; ++d) {
+                    std::int32_t w = std::int32_t(
+                        c.dmem().load<std::uint32_t>(w_off + d * 4));
+                    std::int32_t x =
+                        std::int32_t(c.dmem().load<std::uint32_t>(
+                            off + r + d * 4));
+                    dot += std::int64_t(w) * x;
+                    // Q10.22 MAC on the iterative multiplier.
+                    c.mul(32);
+                }
+                positive += dot > 0;
+                c.dualIssue(2, 2);
+            }
+        });
+        publishLaneWord(c, ctl, w_off + 2048, positive,
+                        res_base + lane * 8);
+    };
+    job.validate = [=] {
+        auto v = model();
+        std::uint64_t expect = 0;
+        for (std::uint64_t r = 0; r < n; ++r) {
+            std::int64_t dot = 0;
+            for (std::uint32_t d = 0; d < dims; ++d)
+                dot += std::int64_t(v[d]) *
+                       v[dims + r * dims + d];
+            expect += dot > 0;
+        }
+        return sumLaneWords(*s, res_base, ctx.nLanes) == expect;
+    };
+    return job;
+}
+
 } // namespace dpu::apps

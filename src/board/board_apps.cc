@@ -327,14 +327,35 @@ hllGen(const DistHllConfig &cfg, unsigned dpu)
     return g;
 }
 
-/** The kernel's CRC64 composition, replayed host-side. */
-std::uint64_t
-crcMix(std::uint64_t e)
+/**
+ * Max-merge @p n_sketches @p m-byte sketches laid end to end at DDR
+ * @p src into one sketch at @p dst, on core 0 of @p s.
+ */
+void
+startSketchMerge(soc::Soc *s, mem::Addr src, unsigned n_sketches,
+                 std::uint32_t m, mem::Addr dst)
 {
-    const std::uint32_t lo = util::crc32Key64(e);
-    const std::uint32_t hi =
-        util::crc32Key(lo ^ std::uint32_t(e >> 32));
-    return (std::uint64_t(hi) << 32) | lo;
+    s->start(0, [s, src, n_sketches, m, dst](core::DpCore &c) {
+        rt::DmsCtl ctl(c, s->dmsFor(c.id()));
+        std::vector<std::uint8_t> merged(m, 0);
+        std::uint64_t pos = 0;
+        rt::StreamReader in(ctl, src, std::uint64_t(n_sketches) * m, 0,
+                            2048, 2, 0, 0);
+        in.forEach([&](std::uint32_t off, std::uint32_t blen) {
+            for (std::uint32_t i = 0; i < blen; ++i) {
+                const std::uint8_t r =
+                    c.dmem().load<std::uint8_t>(off + i);
+                std::uint8_t &cell = merged[(pos + i) % m];
+                cell = std::max(cell, r);
+            }
+            c.dualIssue(blen / 4, blen / 4);
+            pos += blen;
+        });
+        const std::uint32_t out_off = 0x4000;
+        c.dmem().write(out_off, merged.data(), m);
+        c.dualIssue(m / 8, m / 8);
+        apps::dumpToDdr(ctl, std::uint16_t(out_off), dst, m);
+    });
 }
 
 } // namespace
@@ -370,8 +391,9 @@ runDistributedHll(Board &b, const DistHllConfig &cfg)
     // ------------------------------------------------------------
     for (unsigned d = 0; d < n; ++d) {
         soc::Soc *s = &b.dpu(d);
+        const apps::HllConfig gen = hllGen(cfg, d);
         for (unsigned lane = 0; lane < cfg.nLanes; ++lane) {
-            s->start(lane, [s, lane, cfg, m, data_base,
+            s->start(lane, [s, lane, cfg, gen, m, data_base,
                             lane_regs](core::DpCore &c) {
                 const apps::Slice sl = apps::laneSlice(
                     cfg.elementsPerDpu, cfg.nLanes, lane);
@@ -379,27 +401,10 @@ runDistributedHll(Board &b, const DistHllConfig &cfg)
                 constexpr std::uint32_t tile = 4096;
                 const std::uint32_t reg_off = 2 * tile;
                 std::vector<std::uint8_t> regs(m, 0);
-                if (sl.count) {
-                    rt::StreamReader in(ctl, data_base + sl.begin * 8,
-                                        sl.count * 8, 0, tile, 2, 0,
-                                        0);
-                    in.forEach([&](std::uint32_t off,
-                                   std::uint32_t blen) {
-                        for (std::uint32_t i = 0; i < blen; i += 8) {
-                            const std::uint64_t e =
-                                c.dmem().load<std::uint64_t>(off + i);
-                            const std::uint32_t lo = c.crcHash64(e);
-                            const std::uint32_t hi = c.crcHash(
-                                lo ^ std::uint32_t(e >> 32));
-                            const std::uint64_t h =
-                                (std::uint64_t(hi) << 32) | lo;
-                            (void)c.ntz(h << cfg.pBits | 1);
-                            apps::hlldetail::update(h, cfg.pBits,
-                                                    true, regs);
-                            c.dualIssue(3, 3);
-                        }
-                    });
-                }
+                if (sl.count)
+                    apps::hlldetail::sketchStream(
+                        c, ctl, data_base + sl.begin * 8, sl.count * 8,
+                        tile, gen, regs);
                 c.dmem().write(reg_off, regs.data(), m);
                 c.dualIssue(m / 8, m / 8);
                 apps::dumpToDdr(ctl, std::uint16_t(reg_off),
@@ -414,32 +419,9 @@ runDistributedHll(Board &b, const DistHllConfig &cfg)
     // ------------------------------------------------------------
     // Phase 2: on-chip max-merge of the lane sketches (core 0).
     // ------------------------------------------------------------
-    for (unsigned d = 0; d < n; ++d) {
-        soc::Soc *s = &b.dpu(d);
-        s->start(0, [s, cfg, m, lane_regs, dpu_sketch](
-                        core::DpCore &c) {
-            rt::DmsCtl ctl(c, s->dmsFor(c.id()));
-            std::vector<std::uint8_t> merged(m, 0);
-            std::uint64_t pos = 0;
-            rt::StreamReader in(ctl, lane_regs,
-                                std::uint64_t(cfg.nLanes) * m, 0,
-                                2048, 2, 0, 0);
-            in.forEach([&](std::uint32_t off, std::uint32_t blen) {
-                for (std::uint32_t i = 0; i < blen; ++i) {
-                    const std::uint8_t r =
-                        c.dmem().load<std::uint8_t>(off + i);
-                    std::uint8_t &cell = merged[(pos + i) % m];
-                    cell = std::max(cell, r);
-                }
-                c.dualIssue(blen / 4, blen / 4);
-                pos += blen;
-            });
-            const std::uint32_t out_off = 0x4000;
-            c.dmem().write(out_off, merged.data(), m);
-            c.dualIssue(m / 8, m / 8);
-            apps::dumpToDdr(ctl, std::uint16_t(out_off), dpu_sketch, m);
-        });
-    }
+    for (unsigned d = 0; d < n; ++d)
+        startSketchMerge(&b.dpu(d), lane_regs, cfg.nLanes, m,
+                         dpu_sketch);
     b.run();
     if (!b.allFinished())
         return res;
@@ -466,32 +448,7 @@ runDistributedHll(Board &b, const DistHllConfig &cfg)
     // ------------------------------------------------------------
     // Phase 4: DPU 0 merges the board sketch.
     // ------------------------------------------------------------
-    {
-        soc::Soc *s = &b.dpu(0);
-        s->start(0, [s, n, m, recv_sketch,
-                     final_sketch](core::DpCore &c) {
-            rt::DmsCtl ctl(c, s->dmsFor(c.id()));
-            std::vector<std::uint8_t> merged(m, 0);
-            std::uint64_t pos = 0;
-            rt::StreamReader in(ctl, recv_sketch,
-                                std::uint64_t(n) * m, 0, 2048, 2, 0,
-                                0);
-            in.forEach([&](std::uint32_t off, std::uint32_t blen) {
-                for (std::uint32_t i = 0; i < blen; ++i) {
-                    const std::uint8_t r =
-                        c.dmem().load<std::uint8_t>(off + i);
-                    std::uint8_t &cell = merged[(pos + i) % m];
-                    cell = std::max(cell, r);
-                }
-                c.dualIssue(blen / 4, blen / 4);
-                pos += blen;
-            });
-            const std::uint32_t out_off = 0x4000;
-            c.dmem().write(out_off, merged.data(), m);
-            c.dualIssue(m / 8, m / 8);
-            apps::dumpToDdr(ctl, std::uint16_t(out_off), final_sketch, m);
-        });
-    }
+    startSketchMerge(&b.dpu(0), recv_sketch, n, m, final_sketch);
     b.run();
     if (!b.allFinished())
         return res;
@@ -503,11 +460,12 @@ runDistributedHll(Board &b, const DistHllConfig &cfg)
     std::vector<std::uint8_t> expect(m, 0);
     std::set<std::uint64_t> distinct;
     for (unsigned d = 0; d < n; ++d) {
-        auto data = apps::hlldetail::makeElements(hllGen(cfg, d));
-        for (std::uint64_t e : data) {
+        const apps::HllConfig gen = hllGen(cfg, d);
+        for (std::uint64_t e : apps::hlldetail::makeElements(gen)) {
             distinct.insert(e);
-            apps::hlldetail::update(crcMix(e), cfg.pBits, true,
-                                    expect);
+            apps::hlldetail::update(
+                apps::hlldetail::hashOf(e, gen.hash), gen.pBits,
+                gen.useNtz, expect);
         }
     }
     auto got =

@@ -14,7 +14,7 @@
  *
  * The models intentionally re-derive the arena layouts and lane
  * slicing from the serving contracts rather than calling into
- * src/apps: a layout drift in serving.cc shows up here as a
+ * src/apps: a layout drift in a serving job shows up here as a
  * mismatch, not as a silently co-moving test.
  */
 

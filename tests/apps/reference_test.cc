@@ -7,7 +7,7 @@
  * of each job's own validate() hook — a kernel bug mirrored into
  * its validator still fails here — and doubles as a layout
  * contract: the models re-derive every arena offset, so a layout
- * drift in serving.cc is a test failure, not a silent co-move.
+ * drift in a serving job is a test failure, not a silent co-move.
  */
 
 #include <gtest/gtest.h>

@@ -10,7 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "host/offload.hh"
 #include "rt/dms_ctl.hh"
@@ -90,49 +94,75 @@ TEST(OffloadScheduler, MixedRegistryLoadCompletesAndValidates)
     soc::HostA9 a9(s.eventQueue(), s.mbc());
     OffloadScheduler sched(s, a9, {});
 
-    const char *apps[] = {"filter", "groupby-low", "hll-crc",
-                          "json",   "filter",      "groupby-low"};
+    using Opts = std::vector<std::pair<std::string, std::string>>;
     sim::Tick t = 0;
     unsigned i = 0;
-    for (const char *app : apps) {
+    auto enqueue = [&](const std::string &app, const Opts &opts) {
         JobRequest req;
         req.app = app;
         const apps::AppSpec *spec = apps::findApp(app);
-        ASSERT_NE(spec, nullptr);
+        ASSERT_NE(spec, nullptr) << app;
         apps::ConfigHandle cfg = spec->makeConfig();
-        // Shrink every request to serving size.
         ASSERT_TRUE(spec->set(cfg, "seed", "11"));
-        if (std::string(app) == "filter") {
-            ASSERT_TRUE(spec->set(cfg, "rowsPerCore", "4096"));
-        }
-        if (std::string(app) == "groupby-low") {
-            ASSERT_TRUE(spec->set(cfg, "nRows", "16384"));
-            ASSERT_TRUE(spec->set(cfg, "ndv", "128"));
-        }
-        if (std::string(app) == "hll-crc") {
-            ASSERT_TRUE(spec->set(cfg, "nElements", "8192"));
-            ASSERT_TRUE(spec->set(cfg, "cardinality", "2048"));
-            ASSERT_TRUE(spec->set(cfg, "pBits", "10"));
-        }
-        if (std::string(app) == "json") {
-            ASSERT_TRUE(spec->set(cfg, "nRecords", "512"));
-        }
+        for (const auto &[k, v] : opts)
+            ASSERT_TRUE(spec->set(cfg, k, v)) << app << " " << k;
         req.cfg = std::move(cfg);
         req.seed = 100 + i++;
         sched.enqueueAt(t += sim::Tick(50e6), std::move(req));
+    };
+
+    // A small mixed load, shrunk to serving size.
+    const Opts filter = {{"rowsPerCore", "4096"}};
+    const Opts groupBy = {{"nRows", "16384"}, {"ndv", "128"}};
+    enqueue("filter", filter);
+    enqueue("groupby-low", groupBy);
+    enqueue("hll-crc", {{"nElements", "8192"},
+                        {"cardinality", "2048"},
+                        {"pBits", "10"}});
+    enqueue("json", {{"nRecords", "512"}});
+    enqueue("filter", filter);
+    enqueue("groupby-low", groupBy);
+
+    // Then every registry entry once, at the sizes the chip-serve
+    // benchmark mix uses, plus the NLZ variant of the HLL kernel.
+    const Opts hll = {{"nElements", "32768"},
+                      {"cardinality", "8192"},
+                      {"pBits", "12"}};
+    const std::map<std::string, Opts> serving = {
+        {"filter", {{"rowsPerCore", "16384"}}},
+        {"groupby-low", {{"nRows", "65536"}, {"ndv", "512"}}},
+        {"groupby-high", {{"nRows", "65536"}, {"ndv", "1024"}}},
+        {"hll-crc", hll},
+        {"hll-murmur", hll},
+        {"json", {{"nRecords", "2048"}}},
+        {"svm", {{"nTest", "8192"}, {"dims", "64"}}},
+        {"simsearch",
+         {{"nDocs", "1024"}, {"vocab", "2048"}, {"nQueries", "1"}}},
+        {"disparity",
+         {{"width", "64"}, {"height", "32"}, {"maxShift", "8"}}},
+    };
+    for (const apps::AppSpec &spec : apps::registry()) {
+        ASSERT_EQ(serving.count(spec.name), 1u)
+            << spec.name << " has no serving size";
+        enqueue(spec.name, serving.at(spec.name));
     }
+    Opts nlz = hll;
+    nlz.push_back({"useNtz", "false"});
+    enqueue("hll-crc", nlz);
+    const unsigned n_jobs = i;
+    ASSERT_EQ(n_jobs, 6 + apps::registry().size() + 1);
 
     sched.start();
     s.run();
 
     const ServingSummary sum = sched.summary();
-    EXPECT_EQ(sum.submitted, 6u);
-    EXPECT_EQ(sum.completed, 6u);
+    EXPECT_EQ(sum.submitted, n_jobs);
+    EXPECT_EQ(sum.completed, n_jobs);
     EXPECT_EQ(sum.timedOut, 0u);
     EXPECT_EQ(sum.rejected, 0u);
     EXPECT_EQ(sum.validationFailed, 0u);
     for (const JobRecord &rec : sched.jobs()) {
-        EXPECT_EQ(rec.state, JobState::Completed);
+        EXPECT_EQ(rec.state, JobState::Completed) << rec.app;
         EXPECT_TRUE(rec.valid) << rec.app;
         EXPECT_GT(rec.latencyUs(), 0.0);
     }
