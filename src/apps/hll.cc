@@ -3,6 +3,7 @@
 #include "apps/entry.hh"
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "rt/dms_ctl.hh"
@@ -304,7 +305,21 @@ hllJob(const HllConfig &cfg, ServingContext ctx)
     ServingJob job;
     job.workUnits = double(n);
     job.unitName = "elements";
-    job.stage = [=] { stage(*s, data_base, makeElements(gen)); };
+    // stage() fills in each lane's exact register file for
+    // validate().
+    auto expect =
+        std::make_shared<std::vector<std::vector<std::uint8_t>>>();
+    job.stage = [=] {
+        const auto data = makeElements(gen);
+        stage(*s, data_base, data);
+        expect->assign(ctx.nLanes, std::vector<std::uint8_t>(m, 0));
+        for (unsigned l = 0; l < ctx.nLanes; ++l) {
+            Slice sl = laneSlice(n, ctx.nLanes, l);
+            for (std::uint64_t i = 0; i < sl.count; ++i)
+                update(hashOf(data[sl.begin + i], cfg.hash), cfg.pBits,
+                       cfg.useNtz, (*expect)[l]);
+        }
+    };
     job.lane = [=](core::DpCore &c, unsigned lane) {
         Slice sl = laneSlice(n, ctx.nLanes, lane);
         if (!sl.count)
@@ -325,18 +340,13 @@ hllJob(const HllConfig &cfg, ServingContext ctx)
                   res_base + std::uint64_t(lane) * m, m);
     };
     job.validate = [=] {
-        auto data = makeElements(gen);
-        bool ok = true;
+        bool ok = expect->size() == ctx.nLanes;
         std::vector<std::uint8_t> merged(m, 0);
-        for (unsigned l = 0; l < ctx.nLanes; ++l) {
-            Slice sl = laneSlice(n, ctx.nLanes, l);
-            std::vector<std::uint8_t> regs(m, 0);
-            for (std::uint64_t i = 0; i < sl.count; ++i)
-                update(hashOf(data[sl.begin + i], cfg.hash), cfg.pBits,
-                       cfg.useNtz, regs);
+        for (unsigned l = 0; ok && l < ctx.nLanes; ++l) {
+            const std::vector<std::uint8_t> &regs = (*expect)[l];
             auto got = unstage<std::uint8_t>(
                 *s, res_base + std::uint64_t(l) * m, m);
-            ok = ok && got == regs;
+            ok = got == regs;
             for (std::uint32_t i = 0; i < m; ++i)
                 merged[i] = std::max(merged[i], regs[i]);
         }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 
 #include "rt/dms_ctl.hh"
 #include "rt/sync.hh"
@@ -373,30 +374,30 @@ simSearchJob(const SimSearchConfig &cfg, ServingContext ctx)
 
     soc::Soc *s = ctx.soc;
     const std::uint64_t seed = ctx.seed ^ cfg.seed;
-    auto query = [=] {
-        sim::Rng rng{seed};
-        std::vector<std::int32_t> q(cfg.vocab, 0);
-        for (std::uint32_t t = 0; t < cfg.termsPerQuery; ++t)
-            q[rng.below(cfg.vocab)] =
-                std::int32_t(1 + rng.below(1 << 10));
-        return q;
-    };
-    auto postings = [=] {
-        sim::Rng rng{seed + 1};
-        std::vector<std::uint32_t> v(n_post * 2);
-        for (std::uint64_t i = 0; i < n_post; ++i) {
-            v[i * 2] = std::uint32_t(rng.below(cfg.vocab));
-            v[i * 2 + 1] = std::uint32_t(1 + rng.below(1 << 10));
-        }
-        return v;
-    };
 
     ServingJob job;
     job.workUnits = double(n_post);
     job.unitName = "postings";
+    // stage() fills in the exact score for validate().
+    auto expect = std::make_shared<std::int64_t>(0);
     job.stage = [=] {
-        stage(*s, q_base, query());
-        stage(*s, p_base, postings());
+        sim::Rng q_rng{seed};
+        std::vector<std::int32_t> q(cfg.vocab, 0);
+        for (std::uint32_t t = 0; t < cfg.termsPerQuery; ++t)
+            q[q_rng.below(cfg.vocab)] =
+                std::int32_t(1 + q_rng.below(1 << 10));
+        sim::Rng p_rng{seed + 1};
+        std::vector<std::uint32_t> v(n_post * 2);
+        for (std::uint64_t i = 0; i < n_post; ++i) {
+            v[i * 2] = std::uint32_t(p_rng.below(cfg.vocab));
+            v[i * 2 + 1] = std::uint32_t(1 + p_rng.below(1 << 10));
+        }
+        stage(*s, q_base, q);
+        stage(*s, p_base, v);
+        *expect = 0;
+        for (std::uint64_t i = 0; i < n_post; ++i)
+            *expect += std::int64_t(q[v[i * 2]]) *
+                       std::int32_t(v[i * 2 + 1]);
     };
     job.lane = [=](core::DpCore &c, unsigned lane) {
         Slice sl = laneSlice(n_post, ctx.nLanes, lane);
@@ -434,14 +435,8 @@ simSearchJob(const SimSearchConfig &cfg, ServingContext ctx)
                         res_base + lane * 8);
     };
     job.validate = [=] {
-        auto q = query();
-        auto v = postings();
-        std::int64_t expect = 0;
-        for (std::uint64_t i = 0; i < n_post; ++i)
-            expect += std::int64_t(q[v[i * 2]]) *
-                      std::int32_t(v[i * 2 + 1]);
         return std::int64_t(sumLaneWords(*s, res_base, ctx.nLanes)) ==
-               expect;
+               *expect;
     };
     return job;
 }

@@ -3,6 +3,7 @@
 #include "apps/entry.hh"
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "rt/dms_ctl.hh"
@@ -155,7 +156,15 @@ filterJob(const FilterConfig &cfg, ServingContext ctx)
     ServingJob job;
     job.workUnits = double(rows);
     job.unitName = "tuples";
-    job.stage = [=] { stage(*s, data_base, makeColumn(rows, seed)); };
+    // stage() fills in the exact pass count for validate().
+    auto expect = std::make_shared<std::uint64_t>(0);
+    job.stage = [=] {
+        const auto col = makeColumn(rows, seed);
+        stage(*s, data_base, col);
+        *expect = 0;
+        for (std::uint32_t x : col)
+            *expect += (x >= cfg.lo && x <= cfg.hi);
+    };
     job.lane = [=](core::DpCore &c, unsigned lane) {
         Slice sl = laneSlice(rows, ctx.nLanes, lane);
         if (!sl.count)
@@ -173,10 +182,7 @@ filterJob(const FilterConfig &cfg, ServingContext ctx)
                         res_base + lane * 8);
     };
     job.validate = [=] {
-        std::uint64_t expect = 0;
-        for (std::uint32_t x : makeColumn(rows, seed))
-            expect += (x >= cfg.lo && x <= cfg.hi);
-        return sumLaneWords(*s, res_base, ctx.nLanes) == expect;
+        return sumLaneWords(*s, res_base, ctx.nLanes) == *expect;
     };
     return job;
 }

@@ -2,6 +2,7 @@
 
 #include "apps/entry.hh"
 
+#include <memory>
 #include <vector>
 
 #include "rt/dms_ctl.hh"
@@ -585,20 +586,24 @@ groupByJob(const GroupByConfig &cfg, ServingContext ctx)
 
     soc::Soc *s = ctx.soc;
     const std::uint64_t seed = ctx.seed ^ cfg.seed;
-    auto table = [=] {
+    // stage() fills in the exact per-group sums for validate().
+    auto expect = std::make_shared<std::vector<std::uint64_t>>();
+
+    ServingJob job;
+    job.workUnits = double(rows);
+    job.unitName = "rows";
+    job.stage = [=] {
         sim::Rng rng{seed};
         std::vector<std::uint32_t> v(rows * 2);
         for (std::uint64_t r = 0; r < rows; ++r) {
             v[r * 2] = std::uint32_t(rng.below(cfg.ndv));
             v[r * 2 + 1] = std::uint32_t(rng.below(1 << 16));
         }
-        return v;
+        stage(*s, data_base, v);
+        expect->assign(cfg.ndv, 0);
+        for (std::uint64_t r = 0; r < rows; ++r)
+            (*expect)[v[r * 2]] += v[r * 2 + 1];
     };
-
-    ServingJob job;
-    job.workUnits = double(rows);
-    job.unitName = "rows";
-    job.stage = [=] { stage(*s, data_base, table()); };
     job.lane = [=](core::DpCore &c, unsigned lane) {
         Slice sl = laneSlice(rows, ctx.nLanes, lane);
         if (!sl.count)
@@ -606,35 +611,33 @@ groupByJob(const GroupByConfig &cfg, ServingContext ctx)
         rt::DmsCtl ctl(c, s->dmsFor(c.id()));
         constexpr std::uint32_t tile = 8192;
         const std::uint32_t tab_off = 2 * tile;
-        for (std::uint32_t g = 0; g < cfg.ndv; ++g)
-            c.dmem().store<std::uint64_t>(tab_off + g * 8, 0);
-        c.dualIssue(cfg.ndv / 4 + 1, cfg.ndv / 4 + 1);
+        // The table is lane-private until it is dumped, and each
+        // tile is held while it is aggregated, so a tile's rows are
+        // summed first and charged in one bulk call.
+        std::vector<std::uint64_t> tab(cfg.ndv, 0);
+        c.dualIssue(cfg.ndv / 4 + 1, cfg.ndv / 4 + 1); // zero it
 
+        std::vector<std::uint32_t> pairs(tile / 4);
         rt::StreamReader in(ctl, data_base + sl.begin * 8,
                             sl.count * 8, 0, tile, 2, 0, 0);
         in.forEach([&](std::uint32_t off, std::uint32_t blen) {
-            for (std::uint32_t i = 0; i < blen; i += 8) {
-                std::uint32_t key =
-                    c.dmem().load<std::uint32_t>(off + i);
-                std::uint32_t val =
-                    c.dmem().load<std::uint32_t>(off + i + 4);
-                std::uint64_t sum = c.dmem().load<std::uint64_t>(
-                    tab_off + key * 8);
-                c.dmem().store<std::uint64_t>(tab_off + key * 8,
-                                              sum + val);
-                // 2 loads + rmw, paired with index arithmetic.
-                c.dualIssue(3, 3);
+            c.dmem().read(off, pairs.data(), blen);
+            for (std::uint32_t i = 0; i < blen / 4; i += 2) {
+                const std::uint32_t key = pairs[i];
+                sim_assert(key < cfg.ndv,
+                           "group-by key %u outside the %u-group table",
+                           key, cfg.ndv);
+                tab[key] += pairs[i + 1];
             }
+            // 2 loads + rmw per row, paired with index arithmetic.
+            c.dualIssue(3, 3, blen / 8);
         });
+        c.dmem().write(tab_off, tab.data(), tab_bytes);
         dumpToDdr(ctl, std::uint16_t(tab_off),
                   res_base + std::uint64_t(lane) * tab_bytes,
                   tab_bytes);
     };
     job.validate = [=] {
-        auto v = table();
-        std::vector<std::uint64_t> expect(cfg.ndv, 0);
-        for (std::uint64_t r = 0; r < rows; ++r)
-            expect[v[r * 2]] += v[r * 2 + 1];
         std::vector<std::uint64_t> got(cfg.ndv, 0);
         for (unsigned l = 0; l < ctx.nLanes; ++l) {
             auto part = unstage<std::uint64_t>(
@@ -643,7 +646,7 @@ groupByJob(const GroupByConfig &cfg, ServingContext ctx)
             for (std::uint32_t g = 0; g < cfg.ndv; ++g)
                 got[g] += part[g];
         }
-        return got == expect;
+        return got == *expect;
     };
     return job;
 }

@@ -3,6 +3,7 @@
 #include "apps/entry.hh"
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "rt/dms_ctl.hh"
@@ -156,6 +157,16 @@ runSmo(const Dataset &ds, double c, unsigned max_iters,
             per_iter(st);
     }
     return st;
+}
+
+/** Integer dot product of the serving job's Q10.22 rows. */
+std::int64_t
+dotQ(const std::int32_t *w, const std::int32_t *x, std::uint32_t dims)
+{
+    std::int64_t dot = 0;
+    for (std::uint32_t d = 0; d < dims; ++d)
+        dot += std::int64_t(w[d]) * x[d];
+    return dot;
 }
 
 double
@@ -343,22 +354,26 @@ svmJob(const SvmConfig &cfg, ServingContext ctx)
 
     soc::Soc *s = ctx.soc;
     const std::uint64_t seed = ctx.seed ^ cfg.seed;
-    auto model = [=] {
-        sim::Rng rng{seed};
-        std::vector<std::int32_t> v(dims + n * std::uint64_t(dims));
-        for (auto &x : v)
-            x = std::int32_t(rng.below(2048)) - 1024;
-        return v; // weights first, then samples row-major
-    };
+    // stage() fills in the exact positive count; validate() checks
+    // the lanes' sum against it.
+    auto expect = std::make_shared<std::uint64_t>(0);
 
     ServingJob job;
     job.workUnits = double(n);
     job.unitName = "samples";
     job.stage = [=] {
-        auto v = model();
+        sim::Rng rng{seed};
+        std::vector<std::int32_t> v(dims + n * std::uint64_t(dims));
+        for (auto &x : v)
+            x = std::int32_t(rng.below(2048)) - 1024;
+        // Weights first, then samples row-major.
         s->memory().store().write(w_base, v.data(), row_bytes);
         s->memory().store().write(x_base, v.data() + dims,
                                   n * std::uint64_t(row_bytes));
+        *expect = 0;
+        for (std::uint64_t r = 0; r < n; ++r)
+            *expect += dotQ(v.data(), v.data() + dims + r * dims,
+                            dims) > 0;
     };
     job.lane = [=](core::DpCore &c, unsigned lane) {
         Slice sl = laneSlice(n, ctx.nLanes, lane);
@@ -376,23 +391,20 @@ svmJob(const SvmConfig &cfg, ServingContext ctx)
         ctl.wfe(7);
         ctl.clearEvent(7);
 
+        // The weights stay put for the whole lane and each tile is
+        // held while it is scored, so a row's MACs are computed
+        // first and charged in one bulk call.
+        std::vector<std::int32_t> w(dims), x(dims);
+        c.dmem().read(w_off, w.data(), row_bytes);
         std::uint64_t positive = 0;
         rt::StreamReader in(ctl, x_base + sl.begin * row_bytes,
                             sl.count * row_bytes, 0, tile, 2, 0, 0);
         in.forEach([&](std::uint32_t off, std::uint32_t blen) {
             for (std::uint32_t r = 0; r < blen; r += row_bytes) {
-                std::int64_t dot = 0;
-                for (std::uint32_t d = 0; d < dims; ++d) {
-                    std::int32_t w = std::int32_t(
-                        c.dmem().load<std::uint32_t>(w_off + d * 4));
-                    std::int32_t x =
-                        std::int32_t(c.dmem().load<std::uint32_t>(
-                            off + r + d * 4));
-                    dot += std::int64_t(w) * x;
-                    // Q10.22 MAC on the iterative multiplier.
-                    c.mul(32);
-                }
-                positive += dot > 0;
+                c.dmem().read(off + r, x.data(), row_bytes);
+                positive += dotQ(w.data(), x.data(), dims) > 0;
+                // Q10.22 MACs on the iterative multiplier.
+                c.mul(32, dims);
                 c.dualIssue(2, 2);
             }
         });
@@ -400,16 +412,7 @@ svmJob(const SvmConfig &cfg, ServingContext ctx)
                         res_base + lane * 8);
     };
     job.validate = [=] {
-        auto v = model();
-        std::uint64_t expect = 0;
-        for (std::uint64_t r = 0; r < n; ++r) {
-            std::int64_t dot = 0;
-            for (std::uint32_t d = 0; d < dims; ++d)
-                dot += std::int64_t(v[d]) *
-                       v[dims + r * dims + d];
-            expect += dot > 0;
-        }
-        return sumLaneWords(*s, res_base, ctx.nLanes) == expect;
+        return sumLaneWords(*s, res_base, ctx.nLanes) == *expect;
     };
     return job;
 }

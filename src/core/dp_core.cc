@@ -1,6 +1,7 @@
 #include "core/dp_core.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/crc32.hh"
 
@@ -10,6 +11,43 @@ namespace {
 
 /** Geometry of the per-core L1-D (Section 2.3: 16 KB). */
 const mem::CacheParams l1dParams{16 * 1024, 4, 1};
+
+/**
+ * FILT's functional loop over @p n elements of type T at DMEM
+ * offset @p src: each finished group of 8 results (and the last,
+ * partial one) is stored as one bit-vector byte at @p bv before the
+ * next group is read, so overlapping ranges behave as element by
+ * element. The caller has range-checked both spans.
+ */
+template <typename T>
+std::uint64_t
+filtScan(std::uint8_t *dm, std::uint32_t src, std::uint32_t n,
+         std::uint64_t lo, std::uint64_t hi, std::uint32_t bv)
+{
+    // v in [lo, hi] as one unsigned compare; an empty range passes
+    // nothing.
+    const std::uint64_t span = hi - lo;
+    const bool none = lo > hi;
+    auto group = [&](std::uint32_t i, std::uint32_t m) {
+        std::uint8_t cur = 0;
+        for (std::uint32_t j = 0; j < m; ++j) {
+            T v;
+            std::memcpy(&v, dm + src + std::size_t(i + j) * sizeof(T),
+                        sizeof(T));
+            const bool hit = !none && std::uint64_t(v) - lo <= span;
+            cur |= std::uint8_t(std::uint8_t(hit) << j);
+        }
+        dm[bv + (i >> 3)] = cur;
+        return unsigned(__builtin_popcount(cur));
+    };
+    std::uint64_t passed = 0;
+    std::uint32_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        passed += group(i, 8);
+    if (i < n)
+        passed += group(i, n - i);
+    return passed;
+}
 
 } // namespace
 
@@ -87,17 +125,6 @@ DpCore::yieldToScheduler()
 // ----------------------------------------------------------------
 // Time & synchronisation
 // ----------------------------------------------------------------
-
-void
-DpCore::maybeSync()
-{
-    if (!running())
-        return;
-    if (aheadTicks >= syncQuantum ||
-        (!pendingIsrs.empty() && !inIsr)) {
-        sync();
-    }
-}
 
 void
 DpCore::sync()
@@ -237,18 +264,27 @@ DpCore::filt(std::uint32_t src_off, std::uint32_t n,
                elem_bytes == 8, "bad FILT element width %u",
                elem_bytes);
 
+    sim_assert(std::uint64_t(src_off) + std::uint64_t(n) * elem_bytes <=
+                       mem::Dmem::size &&
+                   std::uint64_t(bv_off) + (std::uint64_t(n) + 7) / 8 <=
+                       mem::Dmem::size,
+               "FILT out of DMEM: src=%u n=%u width=%u bv=%u", src_off,
+               n, elem_bytes, bv_off);
+    std::uint8_t *dm = scratch.raw();
     std::uint64_t passed = 0;
-    std::uint8_t cur = 0;
-    for (std::uint32_t i = 0; i < n; ++i) {
-        std::uint64_t v = 0;
-        scratch.read(src_off + i * elem_bytes, &v, elem_bytes);
-        bool hit = v >= lo && v <= hi;
-        passed += hit;
-        cur |= std::uint8_t(hit) << (i & 7);
-        if ((i & 7) == 7 || i + 1 == n) {
-            scratch.write(bv_off + (i >> 3), &cur, 1);
-            cur = 0;
-        }
+    switch (elem_bytes) {
+      case 1:
+        passed = filtScan<std::uint8_t>(dm, src_off, n, lo, hi, bv_off);
+        break;
+      case 2:
+        passed = filtScan<std::uint16_t>(dm, src_off, n, lo, hi, bv_off);
+        break;
+      case 4:
+        passed = filtScan<std::uint32_t>(dm, src_off, n, lo, hi, bv_off);
+        break;
+      default:
+        passed = filtScan<std::uint64_t>(dm, src_off, n, lo, hi, bv_off);
+        break;
     }
 
     // Timing: the element load pairs with FILT in the dual-issue

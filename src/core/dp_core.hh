@@ -21,6 +21,7 @@
 #ifndef DPU_CORE_DP_CORE_HH
 #define DPU_CORE_DP_CORE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -110,6 +111,18 @@ class DpCore
         cycles(std::max(alu_ops, lsu_ops));
     }
 
+    /** Charge @p n dualIssue(@p alu_ops, @p lsu_ops) bundles in bulk. */
+    void
+    dualIssue(std::uint64_t alu_ops, std::uint64_t lsu_ops,
+              std::uint64_t n)
+    {
+        cyclesEach(std::max(alu_ops, lsu_ops), n,
+                   [&](std::uint64_t k) {
+                       shAluOps += k * alu_ops;
+                       shLsuOps += k * lsu_ops;
+                   });
+    }
+
     /** Charge @p n single-issue ALU ops. */
     void
     alu(std::uint64_t n = 1)
@@ -130,6 +143,23 @@ class DpCore
                                "bits", bits, nullptr, 0);
         }
         cycles(c);
+    }
+
+    /**
+     * Charge @p n multiplies of @p bits significant bits in bulk.
+     * With tracing armed it issues n single mul()s, so the trace
+     * keeps one event per multiply.
+     */
+    void
+    mul(unsigned bits, std::uint64_t n)
+    {
+        if (DPU_TRACE_ARMED) {
+            for (std::uint64_t i = 0; i < n; ++i)
+                mul(bits);
+            return;
+        }
+        cyclesEach(costs.mulCycles(bits), n,
+                   [&](std::uint64_t k) { shMuls += k; });
     }
 
     /** Charge one iterative divide. */
@@ -310,7 +340,66 @@ class DpCore
     void setMemTrace(MemTrace hook) { memTrace = std::move(hook); }
 
   private:
-    void maybeSync();
+    /**
+     * Sync if the lead reached the quantum or an ISR is deliverable.
+     * The fast path tests only the core's own fields; running() (an
+     * out-of-line Fiber::current()) is asked only when a sync is due.
+     */
+    void
+    maybeSync()
+    {
+        if (aheadTicks < syncQuantum && (pendingIsrs.empty() || inIsr))
+            return;
+        if (running())
+            sync();
+    }
+
+    /**
+     * Charge @p n ops of @p c cycles each, exactly as n calls of
+     * cycles(c) would: whole runs of ops that stay below the sync
+     * quantum are added at once, and the core syncs at the very op
+     * where the single calls would (the first one that reaches the
+     * quantum, or the first one while an ISR is deliverable). An ISR
+     * can only be posted while the core is yielded, i.e. inside a
+     * sync, so the run lengths are fixed between syncs. @p count(k)
+     * books the stats of k ops just before they may sync.
+     *
+     * Bulk charging lets a kernel do a tile's functional work before
+     * it charges for it. That is exact only while no other agent can
+     * write the memory the work reads during the charged span: the
+     * buffer a StreamReader hands out (the DMS refills only buffers
+     * already released), or lane-private state such as a weight
+     * vector or a lane-local table. Memory another agent writes
+     * concurrently must be read op by op between the charges.
+     */
+    template <typename Count>
+    void
+    cyclesEach(sim::Cycles c, std::uint64_t n, Count count)
+    {
+        const sim::Tick t = sim::dpCoreClock.cyclesToTicks(c);
+        if (n == 0)
+            return;
+        if (!running()) {
+            // Off the core's fiber no op can sync.
+            aheadTicks += n * t;
+            count(n);
+            return;
+        }
+        while (n > 0) {
+            // The next op syncs if the core is due already; else the
+            // first op to reach the quantum does.
+            std::uint64_t k = 1;
+            if (aheadTicks < syncQuantum &&
+                (pendingIsrs.empty() || inIsr))
+                k = t ? std::min(n, (syncQuantum - aheadTicks + t - 1) / t)
+                      : n;
+            aheadTicks += k * t;
+            count(k);
+            n -= k;
+            maybeSync();
+        }
+    }
+
     void resumeFiber();
     void yieldToScheduler();
     void deliverInterrupts();

@@ -122,8 +122,11 @@ class DdrChannel
         sim::Tick done = earliest;
         Addr a = addr & ~Addr(63);
         Addr end = addr + bytes;
+        // One fault-plane lookup per transaction, not per burst.
+        sim::FaultPlane &fp = sim::faultPlane();
+        sim::FaultPlane *degrade = fp.hasMemFault() ? &fp : nullptr;
         while (a < end) {
-            done = burst(a, write, earliest);
+            done = burst(a, write, earliest, degrade);
             a += 64;
         }
         (write ? shBytesWritten : shBytesRead) += bytes;
@@ -157,9 +160,13 @@ class DdrChannel
         sim::Tick dataReadyAt = 0;
     };
 
-    /** Schedule a single 64 B burst; returns its completion tick. */
+    /**
+     * Schedule a single 64 B burst; returns its completion tick.
+     * @p degrade is the fault plane when a mem.degrade rule exists.
+     */
     sim::Tick
-    burst(Addr addr, bool write, sim::Tick earliest)
+    burst(Addr addr, bool write, sim::Tick earliest,
+          sim::FaultPlane *degrade)
     {
         // Address map: row : bank : column. Consecutive rows of the
         // stream land in consecutive banks so activations overlap.
@@ -199,9 +206,9 @@ class DdrChannel
         // Fault plane: a mem.degrade window divides the channel's
         // effective bandwidth by stretching each burst (thermal
         // throttling / a misbehaving rank). Inert runs only pay the
-        // hasMemFault() flag test.
-        if (sim::faultPlane().hasMemFault())
-            t_burst *= sim::faultPlane().memBwDivisor(data_start);
+        // hasMemFault() flag test, once per access().
+        if (degrade)
+            t_burst *= degrade->memBwDivisor(data_start);
 
         busFree = data_start + t_burst;
         shBusyTicks += t_burst;

@@ -35,6 +35,24 @@ makeCrcTable()
 
 inline constexpr auto crcTable = makeCrcTable();
 
+/**
+ * Slicing-by-8 tables: slice k advances the CRC of a byte through k
+ * further zero bytes, so an 8-byte key folds in 8 independent
+ * lookups instead of a serial chain of 8.
+ */
+constexpr std::array<std::array<std::uint32_t, 256>, 8>
+makeSliceTables()
+{
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
+    t[0] = makeCrcTable();
+    for (std::size_t k = 1; k < 8; ++k)
+        for (std::size_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+    return t;
+}
+
+inline constexpr auto crcSlices = makeSliceTables();
+
 } // namespace detail
 
 /** Incrementally extend a CRC32 over @p len bytes. */
@@ -55,18 +73,30 @@ crc32(const void *data, std::size_t len)
     return crc32Update(0, data, len);
 }
 
-/** CRC32 of a single little-endian 32-bit key (the hot DMS path). */
+/**
+ * CRC32 of a single little-endian 32-bit key (the hot DMS path):
+ * crc32(&key, 4), sliced by 4.
+ */
 inline std::uint32_t
 crc32Key(std::uint32_t key)
 {
-    return crc32(&key, sizeof(key));
+    const auto &t = detail::crcSlices;
+    const std::uint32_t c = ~key;
+    return ~(t[3][c & 0xff] ^ t[2][(c >> 8) & 0xff] ^
+             t[1][(c >> 16) & 0xff] ^ t[0][c >> 24]);
 }
 
-/** CRC32 of a single little-endian 64-bit key. */
+/** CRC32 of a single little-endian 64-bit key: crc32(&key, 8). */
 inline std::uint32_t
 crc32Key64(std::uint64_t key)
 {
-    return crc32(&key, sizeof(key));
+    const auto &t = detail::crcSlices;
+    const std::uint32_t lo = ~std::uint32_t(key);
+    const std::uint32_t hi = std::uint32_t(key >> 32);
+    return ~(t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^
+             t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^
+             t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+             t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24]);
 }
 
 } // namespace dpu::util

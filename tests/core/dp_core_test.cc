@@ -3,16 +3,25 @@
  * dpCore model tests: lazy-clock cycle accounting, the dual-issue
  * and branch-predictor cost model, the analytics ISA extensions
  * (functional results + cycle costs), DMEM vs cached-DDR routing,
- * interrupts, blocking, and watchpoints.
+ * interrupts, blocking, and watchpoints; bulk charges against the
+ * op-by-op charges they stand for, and FILT at every element width.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <map>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/dp_core.hh"
 #include "mem/cache.hh"
 #include "mem/main_memory.hh"
+#include "sim/rng.hh"
+#include "sim/trace.hh"
 #include "util/crc32.hh"
 
 using namespace dpu;
@@ -260,4 +269,288 @@ TEST_F(CoreFixture, BlockedCoreWakesOnCondition)
     });
     eq.run();
     EXPECT_EQ(woke_at, 5'000'000u);
+}
+
+// ----------------------------------------------------------------
+// Bulk charges: mul(bits, n) and dualIssue(alu, lsu, n) must be
+// indistinguishable from n single calls.
+// ----------------------------------------------------------------
+
+namespace {
+
+/** DpCore's sync quantum (20 us of lead). */
+constexpr sim::Tick quantum = 20'000'000;
+
+/** A core with its own event queue: one side of an equivalence. */
+struct Rig
+{
+    sim::EventQueue eq;
+    mem::MainMemory mm{mem::ddr3_1600, 4 << 20};
+    mem::Cache l2{"l2", l2Params, mm};
+    DpCore core{0, eq, mm, l2};
+};
+
+/** Charge @p n ops on a core, in one bulk call or one by one. */
+using Charge = std::function<void(DpCore &, std::uint64_t n, bool bulk)>;
+
+/** What one side of an equivalence observed. */
+struct Observed
+{
+    std::vector<sim::Tick> nows; ///< now() after every charge
+    std::uint64_t coreEvents = 0;
+    std::map<std::string, std::uint64_t> stats;
+    std::string trace;           ///< exported trace (when armed)
+};
+
+/**
+ * Drive @p charge from every lead just below, at and above the sync
+ * quantum, for n in {0, 1, a few, several quanta} of @p op-tick ops,
+ * with an ISR posted from outside mid-run (it nests a second ISR and
+ * charges across quanta itself) and one the kernel posts to itself.
+ */
+Observed
+runCharges(const Charge &charge, sim::Tick op, bool bulk)
+{
+    Rig r;
+    Observed out;
+    const sim::Tick step = op ? op : 1;
+    // Zero-cycle ops never reach the quantum: a few suffice.
+    const std::uint64_t many = op ? 3 * quantum / op + 7 : 10;
+    r.eq.schedule(3 * quantum + 12345, [&] {
+        r.core.postInterrupt([&](DpCore &c) {
+            c.postInterrupt([&](DpCore &c2) {
+                charge(c2, 3, bulk);
+                out.nows.push_back(c2.now());
+            });
+            charge(c, many, bulk);
+            out.nows.push_back(c.now());
+        });
+    });
+    r.core.start([&](DpCore &c) {
+        const sim::Tick leads[] = {0,
+                                   1,
+                                   quantum - 2 * step + 1,
+                                   quantum - step - 1,
+                                   quantum - step,
+                                   quantum - 1,
+                                   quantum,
+                                   quantum + 1};
+        const std::uint64_t ns[] = {0, 1, 5, many};
+        for (sim::Tick lead : leads) {
+            for (std::uint64_t n : ns) {
+                c.sync();
+                c.injectStall(lead);
+                charge(c, n, bulk);
+                out.nows.push_back(c.now());
+            }
+        }
+        c.postInterrupt([&](DpCore &c2) { charge(c2, 4, bulk); });
+        charge(c, 9, bulk);
+        out.nows.push_back(c.now());
+    });
+    r.eq.run();
+    EXPECT_TRUE(r.core.finished());
+    out.coreEvents =
+        r.eq.profile().executed[std::size_t(sim::EvTag::Core)];
+    out.stats = r.core.statGroup().counterCells();
+    if (sim::tracer().armed()) {
+        std::ostringstream os;
+        sim::tracer().exportJson(os);
+        out.trace = os.str();
+        sim::tracer().clear();
+    }
+    return out;
+}
+
+/** Bulk and op-by-op runs of @p charge agree on every observable. */
+void
+expectBulkMatchesSingles(const Charge &charge, sim::Tick op)
+{
+    const Observed bulk = runCharges(charge, op, true);
+    const Observed single = runCharges(charge, op, false);
+    EXPECT_EQ(bulk.nows, single.nows);
+    EXPECT_EQ(bulk.coreEvents, single.coreEvents);
+    EXPECT_GT(single.coreEvents, 20u); // the script really syncs
+    EXPECT_EQ(bulk.stats, single.stats);
+    EXPECT_EQ(bulk.trace, single.trace);
+}
+
+sim::Tick
+opTicks(sim::Cycles c)
+{
+    return sim::dpCoreClock.cyclesToTicks(c);
+}
+
+} // namespace
+
+TEST(BulkCharge, MulMatchesSingleMuls)
+{
+    for (unsigned bits : {8u, 32u, 64u}) {
+        SCOPED_TRACE(bits);
+        expectBulkMatchesSingles(
+            [bits](DpCore &c, std::uint64_t n, bool bulk) {
+                if (bulk) {
+                    c.mul(bits, n);
+                    return;
+                }
+                for (std::uint64_t i = 0; i < n; ++i)
+                    c.mul(bits);
+            },
+            opTicks(core::IsaCosts{}.mulCycles(bits)));
+    }
+}
+
+TEST(BulkCharge, DualIssueMatchesSingleBundles)
+{
+    const std::pair<std::uint64_t, std::uint64_t> bundles[] = {
+        {3, 3}, {2, 5}, {4, 1}, {0, 0}};
+    for (auto [alu, lsu] : bundles) {
+        SCOPED_TRACE(alu * 100 + lsu);
+        expectBulkMatchesSingles(
+            [alu, lsu](DpCore &c, std::uint64_t n, bool bulk) {
+                if (bulk) {
+                    c.dualIssue(alu, lsu, n);
+                    return;
+                }
+                for (std::uint64_t i = 0; i < n; ++i)
+                    c.dualIssue(alu, lsu);
+            },
+            opTicks(std::max(alu, lsu)));
+    }
+}
+
+TEST(BulkCharge, TracedMulKeepsOneEventPerMultiply)
+{
+    if (!DPU_TRACING)
+        GTEST_SKIP() << "tracing compiled out";
+    sim::tracer().arm(1 << 16);
+    const Charge mul = [](DpCore &c, std::uint64_t n, bool bulk) {
+        if (bulk) {
+            c.mul(32, n);
+            return;
+        }
+        for (std::uint64_t i = 0; i < n; ++i)
+            c.mul(32);
+    };
+    const Observed bulk =
+        runCharges(mul, opTicks(core::IsaCosts{}.mulCycles(32)), true);
+    const Observed single =
+        runCharges(mul, opTicks(core::IsaCosts{}.mulCycles(32)), false);
+    sim::tracer().disarm();
+    sim::tracer().clear();
+    EXPECT_EQ(bulk.nows, single.nows);
+    EXPECT_EQ(bulk.stats, single.stats);
+    EXPECT_NE(single.trace.find("\"mul\""), std::string::npos);
+    EXPECT_EQ(bulk.trace, single.trace);
+}
+
+// ----------------------------------------------------------------
+// FILT at every element width
+// ----------------------------------------------------------------
+
+namespace {
+
+/** FILT over @p vals (packed at DMEM 0) against a scalar replay. */
+template <typename T>
+void
+expectFiltExact(const std::vector<T> &vals, std::uint64_t lo,
+                std::uint64_t hi)
+{
+    constexpr std::uint32_t bvOff = 16 * 1024;
+    const std::uint32_t n = std::uint32_t(vals.size());
+    Rig r;
+    // A stale pattern under the bit vector: FILT must own every bit
+    // it reports, including the tail of a partial last byte.
+    for (std::uint32_t i = 0; i < (n + 7) / 8 + 8; ++i)
+        r.core.dmem().store<std::uint8_t>(bvOff + i, 0xa5);
+    r.core.dmem().write(0, vals.data(), n * sizeof(T));
+    std::uint64_t passed = 0;
+    r.core.start([&](DpCore &c) {
+        passed = c.filt(0, n, sizeof(T), lo, hi, bvOff);
+    });
+    r.eq.run();
+
+    std::uint64_t expect = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const bool hit = std::uint64_t(vals[i]) >= lo &&
+                         std::uint64_t(vals[i]) <= hi;
+        expect += hit;
+        const bool bit =
+            (r.core.dmem().load<std::uint8_t>(bvOff + i / 8) >> (i % 8)) &
+            1;
+        ASSERT_EQ(bit, hit) << "width " << sizeof(T) << " row " << i;
+    }
+    EXPECT_EQ(passed, expect);
+    if (n % 8) {
+        // Bits past n in the last byte are cleared.
+        const std::uint8_t last =
+            r.core.dmem().load<std::uint8_t>(bvOff + n / 8);
+        EXPECT_EQ(last >> (n % 8), 0);
+    }
+    // The byte after the vector is untouched.
+    EXPECT_EQ(r.core.dmem().load<std::uint8_t>(bvOff + (n + 7) / 8),
+              0xa5);
+}
+
+/** @p n values of T: the type's limits, neighbours and random. */
+template <typename T>
+std::vector<T>
+filtValues(std::uint32_t n, std::uint64_t seed)
+{
+    constexpr T top = std::numeric_limits<T>::max();
+    std::vector<T> v(n);
+    sim::Rng rng{seed};
+    for (std::uint32_t i = 0; i < n; ++i) {
+        switch (i % 5) {
+          case 0: v[i] = 0; break;
+          case 1: v[i] = top; break;
+          case 2: v[i] = T(top - 1); break;
+          default: v[i] = T(rng.next()); break;
+        }
+    }
+    return v;
+}
+
+template <typename T>
+void
+expectFiltExactAtLimits()
+{
+    constexpr std::uint64_t top = std::numeric_limits<T>::max();
+    const auto vals = filtValues<T>(1003, sizeof(T)); // 1003 % 8 = 3
+    expectFiltExact<T>(vals, 0, top);       // everything passes
+    expectFiltExact<T>(vals, 0, 0);         // only zeros
+    expectFiltExact<T>(vals, top, top);     // only the maximum
+    expectFiltExact<T>(vals, 1, top - 1);   // interior
+    expectFiltExact<T>(vals, top / 3, top / 2);
+    expectFiltExact<T>(vals, top, 0);       // empty range
+    expectFiltExact<T>(vals, 0, ~0ull);     // hi past the type
+    expectFiltExact<T>(std::vector<T>(vals.begin(), vals.begin() + 5),
+                       1, top);             // shorter than a byte
+}
+
+} // namespace
+
+TEST(Filt, ExactAtEveryWidthAndAtTypeLimits)
+{
+    expectFiltExactAtLimits<std::uint8_t>();
+    expectFiltExactAtLimits<std::uint16_t>();
+    expectFiltExactAtLimits<std::uint32_t>();
+    expectFiltExactAtLimits<std::uint64_t>();
+}
+
+TEST(Filt, ChargeIsWidthIndependent)
+{
+    // The rate test's loop (4096 tuples) costs the same cycles at
+    // every width: the element load pairs with FILT in the
+    // dual-issue pipe whatever its size.
+    const std::uint32_t n = 4096;
+    const sim::Cycles expect = n + n / 2 + n / 8 + 1 + (n / 64 + 1) * 2;
+    for (unsigned width : {1u, 2u, 4u, 8u}) {
+        Rig r;
+        r.core.start([&](DpCore &c) { c.filt(0, n, width, 0, 0, 0); });
+        r.eq.run();
+        EXPECT_EQ(r.eq.now(), sim::dpCoreClock.cyclesToTicks(expect))
+            << "width " << width;
+        EXPECT_EQ(r.core.statGroup().get("filtOps"), n);
+    }
 }

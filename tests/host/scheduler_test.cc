@@ -74,6 +74,31 @@ wedgedJob()
     return req;
 }
 
+using Opts = std::vector<std::pair<std::string, std::string>>;
+
+/** Every registry entry at the chip-serve benchmark mix's sizes. */
+const std::map<std::string, Opts> &
+servingSizes()
+{
+    static const Opts hll = {{"nElements", "32768"},
+                             {"cardinality", "8192"},
+                             {"pBits", "12"}};
+    static const std::map<std::string, Opts> sizes = {
+        {"filter", {{"rowsPerCore", "16384"}}},
+        {"groupby-low", {{"nRows", "65536"}, {"ndv", "512"}}},
+        {"groupby-high", {{"nRows", "65536"}, {"ndv", "1024"}}},
+        {"hll-crc", hll},
+        {"hll-murmur", hll},
+        {"json", {{"nRecords", "2048"}}},
+        {"svm", {{"nTest", "8192"}, {"dims", "64"}}},
+        {"simsearch",
+         {{"nDocs", "1024"}, {"vocab", "2048"}, {"nQueries", "1"}}},
+        {"disparity",
+         {{"width", "64"}, {"height", "32"}, {"maxShift", "8"}}},
+    };
+    return sizes;
+}
+
 /** One-group chip (4 managed cores) for serialization tests. */
 OffloadParams
 oneGroup()
@@ -94,7 +119,6 @@ TEST(OffloadScheduler, MixedRegistryLoadCompletesAndValidates)
     soc::HostA9 a9(s.eventQueue(), s.mbc());
     OffloadScheduler sched(s, a9, {});
 
-    using Opts = std::vector<std::pair<std::string, std::string>>;
     sim::Tick t = 0;
     unsigned i = 0;
     auto enqueue = [&](const std::string &app, const Opts &opts) {
@@ -125,28 +149,13 @@ TEST(OffloadScheduler, MixedRegistryLoadCompletesAndValidates)
 
     // Then every registry entry once, at the sizes the chip-serve
     // benchmark mix uses, plus the NLZ variant of the HLL kernel.
-    const Opts hll = {{"nElements", "32768"},
-                      {"cardinality", "8192"},
-                      {"pBits", "12"}};
-    const std::map<std::string, Opts> serving = {
-        {"filter", {{"rowsPerCore", "16384"}}},
-        {"groupby-low", {{"nRows", "65536"}, {"ndv", "512"}}},
-        {"groupby-high", {{"nRows", "65536"}, {"ndv", "1024"}}},
-        {"hll-crc", hll},
-        {"hll-murmur", hll},
-        {"json", {{"nRecords", "2048"}}},
-        {"svm", {{"nTest", "8192"}, {"dims", "64"}}},
-        {"simsearch",
-         {{"nDocs", "1024"}, {"vocab", "2048"}, {"nQueries", "1"}}},
-        {"disparity",
-         {{"width", "64"}, {"height", "32"}, {"maxShift", "8"}}},
-    };
+    const std::map<std::string, Opts> &serving = servingSizes();
     for (const apps::AppSpec &spec : apps::registry()) {
         ASSERT_EQ(serving.count(spec.name), 1u)
             << spec.name << " has no serving size";
         enqueue(spec.name, serving.at(spec.name));
     }
-    Opts nlz = hll;
+    Opts nlz = serving.at("hll-crc");
     nlz.push_back({"useNtz", "false"});
     enqueue("hll-crc", nlz);
     const unsigned n_jobs = i;
@@ -172,6 +181,51 @@ TEST(OffloadScheduler, MixedRegistryLoadCompletesAndValidates)
     EXPECT_GT(sum.throughputJobsPerSec, 0.0);
     EXPECT_TRUE(s.allFinished());
     EXPECT_TRUE(a9.finished());
+}
+
+TEST(OffloadScheduler, RegistryValidationIsNotVacuous)
+{
+    // stage() computes each job's expected result from the inputs it
+    // writes. Right after staging, before any lane has run, the
+    // job's validator must reject the untouched output region; after
+    // a normal dispatch it must accept the lanes' output.
+    for (const apps::AppSpec &spec : apps::registry()) {
+        SCOPED_TRACE(spec.name);
+        soc::SocParams sp = soc::dpu40nm();
+        sp.ddrBytes = 64 << 20;
+        soc::Soc s(sp);
+        soc::HostA9 a9(s.eventQueue(), s.mbc());
+        OffloadScheduler sched(s, a9, oneGroup());
+
+        apps::ConfigHandle cfg = spec.makeConfig();
+        ASSERT_EQ(servingSizes().count(spec.name), 1u);
+        for (const auto &[k, v] : servingSizes().at(spec.name))
+            ASSERT_TRUE(spec.set(cfg, k, v)) << k;
+
+        std::vector<bool> staged_valid;
+        JobRequest req;
+        req.makeJob = [&](const apps::ServingContext &ctx) {
+            apps::ServingJob job = spec.serve(cfg, ctx);
+            job.stage = [stage = job.stage, validate = job.validate,
+                         &staged_valid] {
+                stage();
+                staged_valid.push_back(validate());
+            };
+            return job;
+        };
+        req.seed = 4242;
+        sched.enqueueAt(0, std::move(req));
+        sched.start();
+        s.run();
+
+        ASSERT_EQ(staged_valid.size(), 1u);
+        EXPECT_FALSE(staged_valid[0]) << "validates with no lane run";
+        const ServingSummary sum = sched.summary();
+        EXPECT_EQ(sum.completed, 1u);
+        EXPECT_EQ(sum.validationFailed, 0u);
+        ASSERT_EQ(sched.jobs().size(), 1u);
+        EXPECT_TRUE(sched.jobs()[0].valid);
+    }
 }
 
 TEST(OffloadScheduler, WedgedKernelIsReapedAndQueueKeepsDraining)

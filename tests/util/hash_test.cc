@@ -49,6 +49,37 @@ TEST(Crc32, KeyHashMatchesBufferHash)
     EXPECT_EQ(crc32Key(key), crc32(&key, 4));
 }
 
+TEST(Crc32, SlicedKeyHashesMatchBytewiseCrc)
+{
+    // crc32Key / crc32Key64 fold their bytes through slice tables;
+    // they must equal the bytewise table walk over the key's bytes.
+    auto check32 = [](std::uint32_t k) {
+        ASSERT_EQ(crc32Key(k), crc32(&k, 4)) << std::hex << k;
+    };
+    auto check64 = [](std::uint64_t k) {
+        ASSERT_EQ(crc32Key64(k), crc32(&k, 8)) << std::hex << k;
+    };
+    for (std::uint32_t k = 0; k <= 0xffff; ++k) {
+        check32(k);
+        check64(k);
+    }
+    for (std::uint32_t b = 0; b < 64; ++b) {
+        if (b < 32)
+            check32(1u << b);
+        check64(1ull << b);
+    }
+    check32(0);
+    check32(~0u);
+    check64(0);
+    check64(~0ull);
+    dpu::sim::Rng rng(0x5eed);
+    for (int i = 0; i < 1'000'000; ++i) {
+        const std::uint64_t k = rng.next();
+        check32(std::uint32_t(k));
+        check64(k);
+    }
+}
+
 TEST(Crc32, RadixBitsAreBalanced)
 {
     // The DMS radix partitioner takes low bits of the CRC of the key
