@@ -41,9 +41,6 @@ struct AppResult
     {
         return (xeonSeconds / dpuSeconds) * (xeon_watts / dpu_watts);
     }
-
-    double dpuThroughput() const { return workUnits / dpuSeconds; }
-    double xeonThroughput() const { return workUnits / xeonSeconds; }
 };
 
 /** Copy a host vector into simulated DDR at @p addr. */

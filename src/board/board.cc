@@ -78,12 +78,6 @@ Board::runnerStats() const
     return runner->stats();
 }
 
-unsigned
-Board::runnerThreads() const
-{
-    return runner->workers();
-}
-
 void
 Board::dma(unsigned src_dpu, mem::Addr src_addr, unsigned dst_dpu,
            mem::Addr dst_addr, std::uint64_t bytes,

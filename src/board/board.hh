@@ -107,9 +107,6 @@ class Board
     /** Epoch-runner counters (epochs, idle skips; diagnostics). */
     const sim::EpochRunner::Stats &runnerStats() const;
 
-    /** Worker threads the runner actually uses. */
-    unsigned runnerThreads() const;
-
     /**
      * Ship @p bytes from DPU @p src_dpu's DDR at @p src_addr to DPU
      * @p dst_dpu's DDR at @p dst_addr over the fabric. The payload

@@ -112,15 +112,6 @@ LinkFabric::drainInbound(unsigned dst)
     }
 }
 
-std::size_t
-LinkFabric::inboundPending() const
-{
-    std::size_t total = 0;
-    for (const auto &mb : inbox)
-        total += mb.size();
-    return total;
-}
-
 sim::Tick
 LinkFabric::clock() const
 {

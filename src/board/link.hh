@@ -24,10 +24,11 @@
  * A send runs entirely on the source chip: it occupies its Wire
  * channel against the source clock, inside DomainScope(src) so the
  * fault draws come from the source's domain stream, and the
- * delivery is parked in the per-(src, dst) epoch mailbox. At each
- * epoch barrier the runner calls drainInbound(dst) on the thread
- * that owns dst, which schedules every parked delivery into dst's
- * queue in deterministic (src, send order) sequence. Because the runner's
+ * delivery is parked in the per-(src, dst) epoch mailbox. Between
+ * epochs, in the barrier's serial completion step, the runner calls
+ * drainInbound(dst) for every dst in ascending order while no chip
+ * is running; it schedules every parked delivery into dst's queue
+ * in deterministic (src, send order) sequence. Because the runner's
  * lookahead never exceeds hopLatency, a delivery tick is always at
  * or beyond the end of the epoch that produced it, so the receiving
  * clock has never passed it. That makes the parallel schedule a
@@ -99,7 +100,7 @@ class LinkFabric : private sim::Wire
     /**
      * Park @p fn in the (src, dst) mailbox for execution on DPU
      * @p dst's queue at tick @p when (a delivery tick returned by
-     * startBulk). Drained at the next epoch barrier.
+     * startBulk). Drained in the runner's next barrier step.
      */
     void postDelivery(unsigned src, unsigned dst, sim::Tick when,
                       std::function<void()> fn);
@@ -107,13 +108,10 @@ class LinkFabric : private sim::Wire
     /**
      * Schedule every parked delivery bound for @p dst into dst's
      * queue, sources in ascending order, each channel in send
-     * order. Called by the epoch runner on the thread owning dst
-     * (and by hand after host-phase sends in tests).
+     * order. Called by the epoch runner's barrier step, while no
+     * chip is running (and by hand after host-phase sends in tests).
      */
     void drainInbound(unsigned dst);
-
-    /** Parked deliveries across all mailboxes (diagnostics). */
-    std::size_t inboundPending() const;
 
     /** Fraction of simulated time the (src, dst) channel spent
      *  serializing workload (0 when the clock has not advanced). */
@@ -145,8 +143,8 @@ class LinkFabric : private sim::Wire
     unsigned n;
     std::vector<sim::EventQueue *> queues;
     /** Epoch mailboxes, indexed src * n + dst. A mailbox is written
-     *  by src's thread in the compute phase and read by dst's thread
-     *  in the drain phase; the runner's barriers order the two. */
+     *  by src's thread in the compute phase and read by the runner's
+     *  barrier step; the barrier orders the two. */
     std::vector<std::vector<Pending>> inbox;
     std::vector<RpcHandler> handlers;
     /** Per-dst count of RPCs delivered with no handler installed. */

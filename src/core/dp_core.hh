@@ -283,8 +283,6 @@ class DpCore
     void addWatchpoint(mem::Addr addr, std::uint64_t len,
                        std::function<void(mem::Addr, bool)> handler);
 
-    void clearWatchpoints() { watchpoints.clear(); }
-
     // ------------------------------------------------------------
     // Interrupts & blocking (used by ATE / MBC / DMS glue)
     // ------------------------------------------------------------
@@ -316,7 +314,6 @@ class DpCore
 
     sim::EventQueue &eventQueue() { return eq; }
     sim::StatGroup &statGroup() { return stat; }
-    mem::MainMemory &mainMemory() { return mm; }
 
     /**
      * Stall the pipeline for @p t ticks starting no earlier than

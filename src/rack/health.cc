@@ -5,22 +5,6 @@
 
 namespace dpu::rack {
 
-const char *
-boardHealthName(BoardHealth s)
-{
-    switch (s) {
-    case BoardHealth::Healthy:
-        return "healthy";
-    case BoardHealth::Suspect:
-        return "suspect";
-    case BoardHealth::Down:
-        return "down";
-    case BoardHealth::Probation:
-        return "probation";
-    }
-    return "?";
-}
-
 std::string
 HealthParams::validate() const
 {

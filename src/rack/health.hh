@@ -82,9 +82,6 @@ enum class BoardHealth : std::uint8_t
     Probation, ///< acking again; unroutable until rejoin hysteresis
 };
 
-/** Printable name of a verdict ("healthy", "suspect", ...). */
-const char *boardHealthName(BoardHealth s);
-
 /** Failure-detection / brown-out knobs. Defaults leave monitoring
  *  OFF (heartbeatPeriod = 0) so existing racks and goldens are
  *  untouched; dead-board failover still works per-request via ack
@@ -203,7 +200,6 @@ class HealthMonitor
     }
 
     std::uint64_t probesSent() const { return probeCnt; }
-    std::uint64_t acksSeen() const { return ackCnt; }
     std::uint64_t missesSeen() const { return missCnt; }
 
     /** The "health" stat group; nullptr while monitoring is off. */

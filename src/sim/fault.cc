@@ -79,12 +79,6 @@ parseF64(const std::string &rule, const std::string &v)
 
 } // namespace
 
-const char *
-faultSiteName(FaultSite site)
-{
-    return siteNames[unsigned(site)];
-}
-
 void
 FaultPlane::seedDomain(FaultRule &r, unsigned d)
 {

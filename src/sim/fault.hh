@@ -94,9 +94,6 @@ enum class FaultSite : std::uint8_t
 /** Number of FaultSite values. */
 constexpr unsigned nFaultSites = 13;
 
-/** Spec-string name ("dms.wedge", ...) of a site. */
-const char *faultSiteName(FaultSite site);
-
 /** One parsed fault rule (see file header for the grammar). */
 struct FaultRule
 {
@@ -119,26 +116,6 @@ struct FaultRule
 
     std::vector<DomainState> dom;
     std::uint64_t ruleSeed = 0;
-
-    /** Opportunities examined, summed over domains. */
-    std::uint64_t
-    seenTotal() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &d : dom)
-            n += d.seen;
-        return n;
-    }
-
-    /** Faults injected, summed over domains. */
-    std::uint64_t
-    firedTotal() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &d : dom)
-            n += d.fired;
-        return n;
-    }
 };
 
 /** The process-wide fault scheduler. Use sim::faultPlane(). */

@@ -1,6 +1,6 @@
 /**
  * @file
- * EpochRunner implementation: the worker pool, the epoch loop, and
+ * EpochRunner implementation: the worker pool, the barrier step, and
  * the end-of-run clock alignment.
  */
 
@@ -42,112 +42,97 @@ activeEventQueue()
 EpochRunner::EpochRunner(std::vector<EventQueue *> queues_,
                          const ParallelParams &params,
                          std::function<void(unsigned dst)> drain)
-    : queues(std::move(queues_)), p(params), drainFn(std::move(drain))
+    : queues(std::move(queues_)), p(params), drainFn(std::move(drain)),
+      nWorkers(std::max(1u, std::min(p.threads,
+                                     unsigned(queues.size())))),
+      executed(nWorkers), barrier(nWorkers, Step{this})
 {
     sim_assert(!queues.empty(), "EpochRunner needs a partition");
-    nWorkers = std::max(1u,
-                        std::min(p.threads, unsigned(queues.size())));
-    if (nWorkers > 1) {
-        barrier.init(nWorkers);
-        pool.reserve(nWorkers - 1);
-        for (unsigned w = 1; w < nWorkers; ++w)
-            pool.emplace_back([this, w] { workerMain(w); });
-    }
+    pool.reserve(nWorkers - 1);
+    for (unsigned w = 1; w < nWorkers; ++w)
+        pool.emplace_back([this, w] { workerMain(w); });
 }
 
 EpochRunner::~EpochRunner()
 {
-    if (!pool.empty()) {
-        stopFlag.store(true, std::memory_order_release);
-        barrier.arriveAndWait(); // release workers parked at A
-        for (auto &t : pool)
-            t.join();
-    }
+    stopRequested = true;
+    barrier.arrive_and_wait();
+    for (auto &t : pool)
+        t.join();
 }
 
 void
 EpochRunner::workerMain(unsigned w)
 {
     for (;;) {
-        barrier.arriveAndWait(); // A: window published (or stop)
-        if (stopFlag.load(std::memory_order_acquire))
+        barrier.arrive_and_wait();
+        if (stop)
             return;
-        runOwned(w);
-        barrier.arriveAndWait(); // B: all partitions quiesced
-        drainOwned(w);
-        barrier.arriveAndWait(); // C: all mailboxes drained
+        if (active)
+            runOwned(w);
     }
 }
 
 void
 EpochRunner::runOwned(unsigned w)
 {
-    std::uint64_t executed = 0;
+    std::uint64_t n = 0;
     for (unsigned d = w; d < queues.size(); d += nWorkers) {
         DomainScope ds(d);
         ActiveQueueScope qs(queues[d]);
-        executed += queues[d]->runWindow(epochEnd);
+        n += queues[d]->runWindow(epochEnd);
     }
-    if (executed)
-        epochExecuted.fetch_add(executed, std::memory_order_relaxed);
+    executed[w] = n;
 }
 
 void
-EpochRunner::drainOwned(unsigned w)
+EpochRunner::step()
 {
-    for (unsigned d = w; d < queues.size(); d += nWorkers) {
+    if (stopRequested) {
+        stop = true;
+        return;
+    }
+    if (active) { // count the epoch that just ran
+        ++st.epochs;
+        std::uint64_t n = 0;
+        for (const std::uint64_t e : executed)
+            n += e;
+        if (n == 0)
+            ++st.emptyEpochs;
+    }
+    for (unsigned d = 0; d < queues.size(); ++d) {
         DomainScope ds(d);
         drainFn(d);
     }
-}
 
-void
-EpochRunner::runEpoch()
-{
-    epochExecuted.store(0, std::memory_order_relaxed);
-    if (pool.empty()) {
-        runOwned(0);
-        drainOwned(0);
-    } else {
-        barrier.arriveAndWait(); // A
-        runOwned(0);
-        barrier.arriveAndWait(); // B
-        drainOwned(0);
-        barrier.arriveAndWait(); // C
+    Tick next = maxTick;
+    for (const EventQueue *q : queues)
+        next = std::min(next, q->nextDueLowerBound());
+    if (next == maxTick || next > limit) {
+        active = false;
+        return;
     }
-    ++st.epochs;
-    if (epochExecuted.load(std::memory_order_relaxed) == 0)
-        ++st.emptyEpochs;
+    Tick end = next + p.lookahead;
+    if (end < next || end > limit) // overflow or bound
+        end = limit;
+    if (active && next > epochEnd) // a gap after this run's last window
+        ++st.idleSkips;
+    epochEnd = end;
+    active = true;
 }
 
 Tick
-EpochRunner::run(Tick limit)
+EpochRunner::run(Tick limit_)
 {
-    // Deliver anything posted between runs (host-phase RPCs/DMAs)
-    // before scanning for the first window.
-    drainOwned(0);
-    if (nWorkers > 1) {
-        for (unsigned w = 1; w < nWorkers; ++w)
-            drainOwned(w);
-    }
-
-    Tick lastEnd = 0;
-    bool firstEpoch = true;
+    // The caller is worker 0. Its first arrival starts the run: that
+    // step drains what the host phase posted between runs, then
+    // publishes the first window.
+    limit = limit_;
     for (;;) {
-        Tick next = maxTick;
-        for (const EventQueue *q : queues)
-            next = std::min(next, q->nextDueLowerBound());
-        if (next == maxTick || next > limit)
+        barrier.arrive_and_wait();
+        if (!active)
             break;
-        Tick end = next + p.lookahead;
-        if (end < next || end > limit) // overflow or bound
-            end = limit;
-        if (!firstEpoch && next > lastEnd)
-            ++st.idleSkips;
-        firstEpoch = false;
-        epochEnd = end;
-        runEpoch();
-        lastEnd = end;
+        runOwned(0);
     }
 
     // Align every clock on the common final tick so host-phase code

@@ -3,25 +3,31 @@
  * Conservative parallel runner for sharded event kernels.
  *
  * The EpochRunner advances a set of EventQueue partitions (one per
- * execution domain — on a board, one per DPU) in BSP-style epochs:
+ * execution domain — on a board, one per DPU) in BSP-style epochs,
+ * one std::barrier crossing per epoch:
  *
- *   1. window:  next = min over partitions of nextDueLowerBound();
- *               epochEnd = min(limit, next + lookahead)
- *   2. compute: every partition free-runs its events with
- *               runWindow(epochEnd) — in parallel, one worker thread
- *               per partition group (static ownership d % threads)
- *   3. barrier
- *   4. drain:   each destination partition schedules its inbound
- *               cross-partition messages (posted to mailboxes during
- *               compute) in deterministic (src, tick, seq) order
- *   5. barrier, then back to 1
+ *   compute: every worker free-runs the partitions it owns (static
+ *            ownership d % workers) with runWindow(epochEnd), then
+ *            arrives at the barrier;
+ *   step:    the barrier's completion step runs once, on the last
+ *            thread to arrive, while every other worker is parked.
+ *            It counts the epoch that just ran, drains every
+ *            partition's inbound cross-partition messages (posted
+ *            to mailboxes during compute) in ascending dst order,
+ *            then scans next = min nextDueLowerBound() and publishes
+ *            the window epochEnd = min(limit, next + lookahead) —
+ *            or ends the run when nothing is due by the limit.
+ *
+ * A run starts with the caller's own arrival, so the first step
+ * drains what the host phase posted between runs. --threads 1 is
+ * the same code: a barrier with one participant.
  *
  * Conservative correctness: with lookahead <= the minimum
  * cross-partition delivery latency (a board link's store-and-forward
  * hopLatency), any message sent at tick t inside an epoch delivers
  * at >= t + latency >= epochEnd, i.e. always at or after the
- * receiving partition's clock when it is scheduled at the barrier —
- * no partition ever receives an event in its past, so no rollback is
+ * receiving partition's clock when the step schedules it — no
+ * partition ever receives an event in its past, so no rollback is
  * needed. lookahead == 0 degenerates to tick-lockstep (every epoch
  * is a single tick), the serial-order fallback.
  *
@@ -29,10 +35,10 @@
  * sequence whatever the thread count, because (a) per-queue seq
  * counters make same-tick FIFO order a partition-local property,
  * (b) all cross-partition interaction is mailbox-mediated and
- * drained in a fixed order, and (c) per-domain state (fault RNG
- * streams, trace rings — see sim/domain.hh) is keyed by domain, not
- * by thread. threads == 1 runs the identical epoch schedule on the
- * caller's thread, so "parallel equals serial" holds by
+ * drained in a fixed order by the serial step, and (c) per-domain
+ * state (fault RNG streams, trace rings — see sim/domain.hh) is
+ * keyed by domain, not by thread. Every thread count runs the
+ * identical epoch schedule, so "parallel equals serial" holds by
  * construction and is enforced bit-exactly by the test wall.
  *
  * Clock protocol: partitions advance with runWindow(), which leaves
@@ -46,7 +52,7 @@
 #ifndef DPU_SIM_PARALLEL_HH
 #define DPU_SIM_PARALLEL_HH
 
-#include <atomic>
+#include <barrier>
 #include <cstdint>
 #include <functional>
 #include <thread>
@@ -65,8 +71,8 @@ const EventQueue *activeEventQueue();
 /** Knobs for EpochRunner. */
 struct ParallelParams
 {
-    /** Worker threads, caller included. 1 = serial epoch schedule
-     *  on the caller's thread (clamped to the partition count). */
+    /** Worker threads, caller included (clamped to the partition
+     *  count). 1 = every epoch on the caller's thread. */
     unsigned threads = 1;
     /** Free-run window; must not exceed the minimum cross-partition
      *  delivery latency. 0 = tick-lockstep. */
@@ -82,10 +88,12 @@ class EpochRunner
      *                under DomainScope(d).
      * @param params  Thread count / lookahead.
      * @param drain   drain(dst): schedule domain dst's pending
-     *                inbound messages into queues[dst]; called under
-     *                DomainScope(dst), once per partition at the
-     *                start of the run and at every epoch barrier.
-     *                Must only touch dst-owned state.
+     *                inbound messages into queues[dst]. Called by the
+     *                serial barrier step under DomainScope(dst), for
+     *                every dst in ascending order, at the start of
+     *                each run and after every epoch — (epochs + 1) x
+     *                partitions calls per run — while no partition
+     *                is running.
      */
     EpochRunner(std::vector<EventQueue *> queues,
                 const ParallelParams &params,
@@ -118,62 +126,38 @@ class EpochRunner
     unsigned workers() const { return nWorkers; }
 
   private:
-    /** Sense-counting spin barrier (atomics only: cheap at this
-     *  scale and race-free under TSan). */
-    class Barrier
+    /** The barrier's completion function. */
+    struct Step
     {
-      public:
-        void
-        init(unsigned n)
-        {
-            nThreads = n;
-        }
-
-        void
-        arriveAndWait()
-        {
-            const std::uint32_t gen =
-                generation.load(std::memory_order_acquire);
-            if (count.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-                nThreads) {
-                count.store(0, std::memory_order_relaxed);
-                generation.store(gen + 1,
-                                 std::memory_order_release);
-                return;
-            }
-            unsigned spins = 0;
-            while (generation.load(std::memory_order_acquire) ==
-                   gen) {
-                if (++spins > 64)
-                    std::this_thread::yield();
-            }
-        }
-
-      private:
-        unsigned nThreads = 1;
-        std::atomic<std::uint32_t> count{0};
-        std::atomic<std::uint32_t> generation{0};
+        EpochRunner *r;
+        void operator()() noexcept { r->step(); }
     };
 
     void workerMain(unsigned w);
     /** Advance every partition owned by worker @p w to epochEnd. */
     void runOwned(unsigned w);
-    /** Drain inbound mailboxes of every partition owned by @p w. */
-    void drainOwned(unsigned w);
-    /** One epoch: compute, barrier, drain, barrier. */
-    void runEpoch();
+    /** The serial work between two epochs (see the file comment). */
+    void step();
 
     std::vector<EventQueue *> queues;
     ParallelParams p;
     std::function<void(unsigned dst)> drainFn;
     unsigned nWorkers;
 
-    std::vector<std::thread> pool;
-    Barrier barrier;
-    std::atomic<bool> stopFlag{false};
-    /** Published by the coordinator before releasing an epoch. */
+    // Run request: written by the caller before it arrives, read
+    // only by the step.
+    Tick limit = maxTick;
+    bool stopRequested = false;
+
+    // Written only by the step; workers read them after the barrier.
+    bool active = false; ///< an epoch window is published
+    bool stop = false;   ///< workers exit
     Tick epochEnd = 0;
-    std::atomic<std::uint64_t> epochExecuted{0};
+
+    /** Events each worker executed in the last epoch. */
+    std::vector<std::uint64_t> executed;
+    std::barrier<Step> barrier;
+    std::vector<std::thread> pool;
 
     Stats st;
 };

@@ -106,7 +106,6 @@ class XeonModel
     double seconds() const;
 
     const XeonParams &params() const { return p; }
-    unsigned threadsUsed() const { return threads; }
 
   private:
     double phaseSeconds() const;

@@ -6,8 +6,8 @@
  * of (workload, seed) — the worker-thread count is invisible. A
  * 4-DPU board runs the mixed SQL + HLL workload under a seeded
  * link-fault schedule ten times across --threads {1, 2, 4}; every
- * stats snapshot and every exported trace must be bit-identical to
- * the serial reference. A second group pins parallel mode to the
+ * stats snapshot, every exported trace and the epoch runner's own
+ * counters must be bit-identical to the serial reference. A second group pins parallel mode to the
  * checked-in serial golden (tests/golden/board.json): parallel
  * execution must not merely be self-consistent, it must reproduce
  * the exact schedule the one-queue simulator produced.
@@ -40,6 +40,7 @@ struct RunResult
 {
     sim::StatsSnapshot snap;
     std::string trace; ///< exported Chrome-trace JSON, the digest
+    sim::EpochRunner::Stats runner;
 };
 
 /**
@@ -77,6 +78,7 @@ runMixedScenario(unsigned threads, const char *faults = nullptr,
     std::ostringstream os;
     sim::tracer().exportJson(os);
     out.trace = os.str();
+    out.runner = b->runnerStats();
 
     sim::tracer().disarm();
     sim::tracer().clear();
@@ -118,6 +120,7 @@ TEST(ParallelDeterminism, TenRunsAcrossThreadCountsAreBitIdentical)
         if (i == 0) {
             ref = std::move(r);
             EXPECT_FALSE(ref.trace.empty());
+            EXPECT_GT(ref.runner.epochs, 0u);
             continue;
         }
         const auto diffs = sim::diffSnapshots(ref.snap, r.snap);
@@ -128,6 +131,11 @@ TEST(ParallelDeterminism, TenRunsAcrossThreadCountsAreBitIdentical)
         EXPECT_EQ(r.trace, ref.trace)
             << "run " << i << " (threads=" << plan[i]
             << "): trace digest diverged from serial";
+        EXPECT_EQ(r.runner.epochs, ref.runner.epochs) << "run " << i;
+        EXPECT_EQ(r.runner.idleSkips, ref.runner.idleSkips)
+            << "run " << i;
+        EXPECT_EQ(r.runner.emptyEpochs, ref.runner.emptyEpochs)
+            << "run " << i;
     }
 }
 

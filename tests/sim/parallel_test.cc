@@ -9,15 +9,21 @@
  *    nothing observable;
  *  - idle gaps between event clusters are skipped, not marched
  *    through epoch by epoch;
+ *  - runners start, run repeatedly and shut down cleanly at every
+ *    thread count, including runners that never run;
+ *  - the drain callback runs in the documented serial order, under
+ *    the destination's domain, the same at every thread count;
  *  - nextDueLowerBound() bounds and refines as documented.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 #include <vector>
 
+#include "sim/domain.hh"
 #include "sim/event_queue.hh"
 #include "sim/parallel.hh"
 
@@ -189,6 +195,99 @@ TEST(EpochRunner, BoundedRunParksEveryClockOnTheLimit)
     EXPECT_EQ(q0.now(), 1'000'000u);
     EXPECT_EQ(q1.now(), 1'000'000u);
     EXPECT_EQ(q1.pending(), 1u) << "the future event must survive";
+}
+
+TEST(EpochRunner, StartsRunsAndStopsCleanlyAtEveryThreadCount)
+{
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        std::vector<sim::EventQueue> qs(4);
+        std::vector<sim::EventQueue *> qp;
+        for (auto &q : qs)
+            qp.push_back(&q);
+        sim::ParallelParams pp;
+        pp.threads = threads;
+        pp.lookahead = hop;
+
+        // Never run: the destructor alone must release the workers.
+        { sim::EpochRunner idle(qp, pp, noDrain); }
+
+        std::vector<unsigned> fired(4, 0);
+        for (unsigned d = 0; d < 4; ++d) {
+            qs[d].schedule(d * 1'000, [&fired, d] { ++fired[d]; });
+            qs[d].schedule(5'000'000 + d, [&fired, d] { ++fired[d]; });
+        }
+        sim::EpochRunner r(qp, pp, noDrain);
+        EXPECT_EQ(r.run(1'000'000), 1'000'000u) << threads;
+        EXPECT_EQ(fired, std::vector<unsigned>(4, 1)) << threads;
+        EXPECT_EQ(r.run(), sim::Tick(5'000'003)) << threads;
+        EXPECT_EQ(fired, std::vector<unsigned>(4, 2)) << threads;
+        const std::uint64_t epochs = r.stats().epochs;
+        // Nothing due: returns at once on the aligned clock.
+        EXPECT_EQ(r.run(), sim::Tick(5'000'003)) << threads;
+        EXPECT_EQ(r.stats().epochs, epochs) << threads;
+        for (const auto &q : qs)
+            EXPECT_EQ(q.now(), sim::Tick(5'000'003)) << threads;
+    }
+}
+
+TEST(EpochRunner, DrainRunsSeriallyInDstOrderUnderTheDstDomain)
+{
+    // A ring of 4 partitions: every delivery to d forwards a message
+    // to d + 1, one hop later, until 40 hops have been made. Each
+    // source owns one outbox (written only while it runs); the drain
+    // hands it to the next partition.
+    constexpr unsigned nq = 4;
+    constexpr unsigned hops = 40;
+    std::vector<std::vector<unsigned>> ref;
+
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        std::vector<sim::EventQueue> qs(nq);
+        std::vector<sim::EventQueue *> qp;
+        for (auto &q : qs)
+            qp.push_back(&q);
+        std::vector<std::vector<sim::Tick>> outbox(nq);
+        unsigned sent = 0; // touched by one partition at a time
+        std::function<void(unsigned)> deliver = [&](unsigned d) {
+            if (++sent < hops)
+                outbox[d].push_back(qs[d].now() + hop);
+        };
+        qs[0].schedule(0, [&] { deliver(0); });
+
+        std::vector<unsigned> calls; // dst of every drain call
+        bool inDomain = true;
+        sim::ParallelParams pp;
+        pp.threads = threads;
+        pp.lookahead = hop;
+        sim::EpochRunner r(qp, pp, [&](unsigned dst) {
+            calls.push_back(dst);
+            inDomain = inDomain && sim::currentDomain() == dst;
+            std::vector<sim::Tick> &in = outbox[(dst + nq - 1) % nq];
+            for (const sim::Tick when : in)
+                qs[dst].schedule(when, [&deliver, dst] { deliver(dst); });
+            in.clear();
+        });
+
+        // Two runs: the contract holds per run, and the second run
+        // picks up what the first left beyond its bound.
+        std::vector<std::vector<unsigned>> perRun;
+        for (const sim::Tick limit : {hops / 2 * hop, sim::maxTick}) {
+            calls.clear();
+            const std::uint64_t before = r.stats().epochs;
+            r.run(limit);
+            const std::uint64_t epochs = r.stats().epochs - before;
+            ASSERT_EQ(calls.size(), (epochs + 1) * nq) << threads;
+            for (std::size_t i = 0; i < calls.size(); ++i)
+                EXPECT_EQ(calls[i], i % nq) << threads << " call " << i;
+            perRun.push_back(calls);
+        }
+        EXPECT_TRUE(inDomain) << threads;
+        EXPECT_EQ(sent, hops) << threads;
+        if (threads == 1) {
+            ref = perRun;
+        } else {
+            EXPECT_EQ(perRun, ref) << threads << " workers diverged";
+        }
+    }
 }
 
 TEST(NextDueLowerBound, BoundsAndRefines)
