@@ -63,7 +63,7 @@ makeIndex(const SimSearchConfig &cfg, sim::Rng &rng)
                      unsigned(rng.below(cfg.avgTermsPerDoc));
         for (unsigned k = 0; k < n; ++k) {
             Posting p;
-            p.term = std::uint16_t(zipf.sample(rng));
+            p.term = std::uint16_t(zipf.sample(rng.uniform()));
             p.docLocal = std::uint16_t(d % tileDocs);
             p.weight =
                 Fx22::fromDouble(0.05 + rng.uniform() * 0.9).raw();
@@ -106,7 +106,7 @@ makeQueries(const SimSearchConfig &cfg, sim::Rng &rng)
     for (auto &q : qs) {
         unsigned attempts = 0;
         while (q.terms.size() < cfg.termsPerQuery) {
-            std::uint16_t t = std::uint16_t(zipf.sample(rng));
+            std::uint16_t t = std::uint16_t(zipf.sample(rng.uniform()));
             if (++attempts > 10000)
                 t = std::uint16_t(rng.below(cfg.vocab));
             bool dup = false;

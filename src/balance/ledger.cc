@@ -126,8 +126,8 @@ MigrationLedger::forward(unsigned partition, unsigned served_at,
         // one is counted, never retried.
         if (served_at == m.step.from) {
             ++fwd.requests;
-            fwd.bytes += rules.deltaBytes;
-            fwd.dropped += !xport.forward(m, rules.deltaBytes, now);
+            fwd.bytes += forwardDeltaBytes;
+            fwd.dropped += !xport.forward(m, forwardDeltaBytes, now);
         }
         return;
     }

@@ -88,6 +88,9 @@ class Transport
                          sim::Tick now) = 0;
 };
 
+/** Delta shipped per request forwarded during a migration. */
+constexpr std::uint64_t forwardDeltaBytes = 256;
+
 /** The tier rules the ledger consults. */
 struct Rules
 {
@@ -99,8 +102,6 @@ struct Rules
     std::function<void(const Migration &)> commit;
     /** Not landed this long after launch: TimedOut. 0 = never. */
     sim::Tick timeout = 0;
-    /** Delta shipped per forwarded request. */
-    std::uint64_t deltaBytes = 0;
 };
 
 class MigrationLedger

@@ -64,19 +64,15 @@ class BoardBalancer::Handoff : public balance::Transport
     std::uint64_t stateBytes = 0;   ///< of committed transfers
 
     Handoff(Board &brd_, const BalanceParams &p_)
-        : brd(brd_), p(p_),
-          engineCore(p_.engineCore == ~0u ? brd_.dpu(0).nCores() - 1
-                                          : p_.engineCore)
+        : brd(brd_), p(p_), coreId(handoffCore(brd_))
     {
-        sim_assert(engineCore < brd.dpu(0).nCores(),
-                   "engine core %u off the chip", engineCore);
         engines.resize(brd.nDpus());
         for (unsigned d = 0; d < brd.nDpus(); ++d) {
             soc::Soc &chip = brd.dpu(d);
             const unsigned local =
-                engineCore % chip.params().coresPerComplex;
-            dms::Dms &dms = chip.dmsFor(engineCore);
-            mem::Dmem &dmem = chip.core(engineCore).dmem();
+                coreId % chip.params().coresPerComplex;
+            dms::Dms &dms = chip.dmsFor(coreId);
+            mem::Dmem &dmem = chip.core(coreId).dmem();
             engines[d].exec = std::make_unique<dms::HandoffExec>(
                 dms, local, dmem, srcRole(p.stagingBufBytes));
             engines[d].lander = std::make_unique<dms::HandoffLander>(
@@ -110,8 +106,8 @@ class BoardBalancer::Handoff : public balance::Transport
         const Engines &de = engines[s.to];
         return !se.srcBusy && !se.srcPoisoned && !de.dstBusy &&
                !de.dstPoisoned &&
-               !brd.dpu(s.from).dmsFor(engineCore).dmac().hung() &&
-               !brd.dpu(s.to).dmsFor(engineCore).dmac().hung();
+               !brd.dpu(s.from).dmsFor(coreId).dmac().hung() &&
+               !brd.dpu(s.to).dmsFor(coreId).dmac().hung();
     }
 
     bool
@@ -232,12 +228,11 @@ class BoardBalancer::Handoff : public balance::Transport
         auto payload = std::make_shared<std::vector<std::uint8_t>>(
             hc.bytes());
         const dms::HandoffExecParams &role = exec.params();
-        brd.dpu(t.from).core(engineCore).dmem().read(
+        brd.dpu(t.from).core(coreId).dmem().read(
             role.bufBase + (chunk & 1) * role.bufBytes,
             payload->data(), payload->size());
         exec.release(chunk);
-        ship(t, chunk, std::move(payload),
-             1 + brd.params().dmaRetries);
+        ship(t, chunk, std::move(payload), 1 + bulkRetries);
     }
 
     void
@@ -278,10 +273,16 @@ class BoardBalancer::Handoff : public balance::Transport
 
     Board &brd;
     const BalanceParams &p;
-    unsigned engineCore;
+    unsigned coreId;
     /** Owning store; stable addresses (events capture Transfer&). */
     std::vector<std::unique_ptr<Transfer>> transfers;
 };
+
+unsigned
+handoffCore(const Board &brd)
+{
+    return brd.params().soc.nCores() - 1;
+}
 
 // ----------------------------------------------------------------
 // BalanceParams
@@ -334,7 +335,6 @@ BoardBalancer::BoardBalancer(Board &brd_, balance::PartitionMap &parts_,
         parts.reassign(m.step.partition, m.step.to);
     };
     rules.timeout = p.migrationTimeout;
-    rules.deltaBytes = p.deltaBytesPerRequest;
     led = std::make_unique<balance::MigrationLedger>(
         p, parts.nPartitions(), brd.nDpus(), *handoff,
         std::move(rules), stats);

@@ -47,22 +47,20 @@ struct BalanceParams : balance::Policy
     /** Staging-chunk / DMEM-buffer bytes (<= 2048, the engine
      *  roles' ping-pong buffer size). */
     std::uint32_t stagingBufBytes = 2048;
-    /** Engine core driving the hand-off descriptor chains on each
-     *  DPU; ~0u picks the chip's last core. Must not be managed by
-     *  the offload scheduler. */
-    unsigned engineCore = ~0u;
     /** A migration not fully landed this long after launch is
      *  aborted at the next window boundary; its engine roles are
      *  poisoned (a wedged DMAC never completes). */
     sim::Tick migrationTimeout = sim::Tick(2'000'000'000); // 2 ms
-    /** Forwarding-epoch delta shipped per request absorbed at the
-     *  old home while its partition is in flight. */
-    std::uint64_t deltaBytesPerRequest = 256;
 
     /** The shared Policy rules plus the hand-off layout's: "" when
      *  usable (or window = 0); else a sentence naming the field. */
     std::string validate() const;
 };
+
+/** The core driving the hand-off descriptor chains on each DPU of
+ *  @p brd: the chip's last. The offload scheduler must not manage
+ *  it. */
+unsigned handoffCore(const Board &brd);
 
 /**
  * The board-tier balancer: owns the per-DPU hand-off engines and

@@ -94,7 +94,7 @@ Board::dma(unsigned src_dpu, mem::Addr src_addr, unsigned dst_dpu,
     dpus[src_dpu]->memory().store().read(src_addr, buf->data(),
                                          bytes);
     dmaAttempt(src_dpu, dst_dpu, dst_addr, std::move(buf),
-               std::move(done), 1 + p.dmaRetries);
+               std::move(done), 1 + bulkRetries);
 }
 
 void

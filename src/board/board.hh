@@ -55,6 +55,10 @@ class Rack;
 
 namespace dpu::board {
 
+/** Bulk-transfer retransmissions on the board links before a
+ *  transfer reports failure. */
+constexpr unsigned bulkRetries = 4;
+
 /** Board shape, filled in and validated by topo::ClusterTopology. */
 struct BoardParams
 {
@@ -64,8 +68,6 @@ struct BoardParams
      *  the largest window that keeps cross-chip delivery
      *  conservative. */
     LinkParams link{};
-    /** Bulk-transfer retransmissions before dma() reports failure. */
-    unsigned dmaRetries = 4;
     /** Worker threads for the epoch runner (1 = serial epochs; the
      *  schedule is identical either way). */
     unsigned threads = 1;
@@ -112,7 +114,7 @@ class Board
      * @p dst_dpu's DDR at @p dst_addr over the fabric. The payload
      * is snapshotted now; the destination bytes appear at the
      * delivery tick. Dropped transfers are retransmitted up to
-     * params().dmaRetries times, then @p done (optional) reports
+     * bulkRetries times, then @p done (optional) reports
      * false. @p done runs on the SOURCE chip's partition at the
      * final delivery tick. Callable from the host phase or from
      * events on the source chip's partition.

@@ -51,10 +51,9 @@ filtScan(std::uint8_t *dm, std::uint32_t src, std::uint32_t n,
 
 } // namespace
 
-DpCore::DpCore(unsigned id, sim::EventQueue &eq_,
-               mem::MainMemory &memory, mem::Cache &l2,
+DpCore::DpCore(unsigned id, sim::EventQueue &eq_, mem::Cache &l2,
                const IsaCosts &costs_)
-    : coreId(id), eq(eq_), mm(memory), costs(costs_),
+    : coreId(id), eq(eq_), costs(costs_),
       stat("core" + std::to_string(id)), l2Cache(l2),
       l1dCache(std::make_unique<mem::Cache>(
           "core" + std::to_string(id) + ".l1d", l1dParams, l2))

@@ -33,7 +33,6 @@
 #include "mem/addr.hh"
 #include "mem/cache.hh"
 #include "mem/dmem.hh"
-#include "mem/main_memory.hh"
 #include "sim/event_queue.hh"
 #include "sim/fiber.hh"
 #include "sim/stats.hh"
@@ -60,12 +59,11 @@ class DpCore
     /**
      * @param id     Core id, 0..31 (macro = id / 8).
      * @param eq     The global event queue.
-     * @param memory Main memory (DDR).
-     * @param l2     The macro's shared 256 KB L2.
+     * @param l2     The macro's shared 256 KB L2 (backed by DDR).
      * @param costs  ISA cycle cost table.
      */
-    DpCore(unsigned id, sim::EventQueue &eq, mem::MainMemory &memory,
-           mem::Cache &l2, const IsaCosts &costs = IsaCosts{});
+    DpCore(unsigned id, sim::EventQueue &eq, mem::Cache &l2,
+           const IsaCosts &costs = IsaCosts{});
 
     unsigned id() const { return coreId; }
     unsigned macro() const { return coreId / coresPerMacro; }
@@ -407,7 +405,6 @@ class DpCore
 
     unsigned coreId;
     sim::EventQueue &eq;
-    mem::MainMemory &mm;
     IsaCosts costs;
     sim::StatGroup stat;
 

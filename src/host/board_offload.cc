@@ -27,9 +27,7 @@ BoardScheduler::BoardScheduler(board::Board &b,
     // commits into the same map offer() routes through.
     const board::BalanceParams &bal = b.params().balance;
     if (bal.window > 0) {
-        const unsigned engine = bal.engineCore == ~0u
-                                    ? b.dpu(0).nCores() - 1
-                                    : bal.engineCore;
+        const unsigned engine = board::handoffCore(b);
         sim_assert(per_dpu.nCores <= engine,
                    "the balancer's engine core %u must not be "
                    "managed by the offload scheduler (nCores %u)",

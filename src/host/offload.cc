@@ -33,6 +33,15 @@ ackMsg(std::uint64_t dispatch_id, unsigned group, unsigned lane)
     return (dispatch_id << 16) | (std::uint64_t(group) << 8) | lane;
 }
 
+/** Driver time per dispatch (staging, descriptor writes). */
+constexpr double dispatchDriverUs = 2.0;
+/** Driver time per completion (validation readback). */
+constexpr double completeDriverUs = 1.0;
+/** DDR base of the per-group job arenas. */
+constexpr mem::Addr jobArenaBase = 1 << 20;
+/** Arena bytes per group (inputs + outputs + DMS prefetch slack). */
+constexpr std::uint64_t jobArenaBytes = 6 << 20;
+
 /** Trace track ids on TraceCat::Soc. */
 constexpr std::uint32_t hostTid = 0x500;
 constexpr std::uint32_t groupTid = 0x510;
@@ -59,12 +68,6 @@ OffloadScheduler::OffloadScheduler(soc::Soc &soc_, soc::HostA9 &a9_,
                                 "sched.group" + std::to_string(g));
     }
     sim::tracer().nameTrack(sim::TraceCat::Soc, hostTid, "a9.sched");
-}
-
-mem::Addr
-OffloadScheduler::arenaOf(unsigned group) const
-{
-    return p.arenaBase + std::uint64_t(group) * p.arenaBytesPerGroup;
 }
 
 void
@@ -177,8 +180,8 @@ OffloadScheduler::buildJob(const JobRequest &req, unsigned group)
     ctx.soc = &soc;
     ctx.baseCore = groups[group].base;
     ctx.nLanes = groups[group].size;
-    ctx.arena = arenaOf(group);
-    ctx.arenaBytes = p.arenaBytesPerGroup;
+    ctx.arena = jobArenaBase + std::uint64_t(group) * jobArenaBytes;
+    ctx.arenaBytes = jobArenaBytes;
     ctx.seed = req.seed;
     if (req.makeJob)
         return req.makeJob(ctx);
@@ -307,7 +310,7 @@ OffloadScheduler::dispatchReady(soc::HostA9 &host)
         // Driver work: build the job, stage its inputs in the
         // group's arena, write the descriptors.
         apps::ServingJob job = buildJob(pend.req, g);
-        host.busyUs(p.dispatchOverheadUs);
+        host.busyUs(dispatchDriverUs);
         job.stage();
 
         const sim::Tick now = host.now();
@@ -354,7 +357,7 @@ OffloadScheduler::handleAck(soc::HostA9 &host, std::uint64_t msg)
         return;
 
     // Last lane acked: the dispatch is over.
-    host.busyUs(p.completeOverheadUs);
+    host.busyUs(completeDriverUs);
     const sim::Tick now = host.now();
     JobRecord &rec = records[grp.jobId - 1];
     if (grp.state == GroupState::Quarantined) {

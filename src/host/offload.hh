@@ -53,15 +53,6 @@ struct OffloadParams
     std::size_t queueDepth = 64;
     /** Deadline for requests that don't carry one (from enqueue). */
     sim::Tick defaultTimeout = sim::Tick(50e9); // 50 ms
-    /** Driver time per dispatch (staging, descriptor writes). */
-    double dispatchOverheadUs = 2.0;
-    /** Driver time per completion (validation readback). */
-    double completeOverheadUs = 1.0;
-    /** DDR base of the per-group job arenas. */
-    mem::Addr arenaBase = 1 << 20;
-    /** Arena bytes per group (inputs + outputs + DMS prefetch
-     *  slack). */
-    std::uint64_t arenaBytesPerGroup = 6 << 20;
     /**
      * Dispatch attempts per job: a running job reaped at its
      * deadline is requeued (fresh deadline, healthy group) while
@@ -266,7 +257,6 @@ class OffloadScheduler
     void resolveJob(JobRecord &rec, soc::HostA9 &host);
     sim::Tick nextWake() const;
     void finalize(soc::HostA9 &host);
-    mem::Addr arenaOf(unsigned group) const;
     apps::ServingJob buildJob(const JobRequest &req, unsigned group);
 
     soc::Soc &soc;

@@ -5,6 +5,13 @@
 
 namespace dpu::rack {
 
+namespace {
+
+/** Probe payload carried per board per round. */
+constexpr std::uint64_t probePayloadBytes = 128;
+
+} // namespace
+
 std::string
 HealthParams::validate() const
 {
@@ -23,14 +30,6 @@ HealthParams::validate() const
     if (rejoinAfter == 0)
         return "the detector needs at least one clean probe to "
                "rejoin (HealthParams.rejoinAfter = 0)";
-    if (shedPressure <= 0 || shedPressure > 1)
-        return "shedPressure must sit in (0, 1] "
-               "(HealthParams.shedPressure = " +
-               std::to_string(shedPressure) + ")";
-    if (shedDeadlineFrac <= 0)
-        return "shedDeadlineFrac must be positive "
-               "(HealthParams.shedDeadlineFrac = " +
-               std::to_string(shedDeadlineFrac) + ")";
     return "";
 }
 
@@ -203,7 +202,7 @@ HealthMonitor::sendProbes(sim::Tick at)
         ++probeCnt;
         bool dropped = false;
         const sim::Tick delivered = net.send(
-            b, prm.probeBytes, at, dropped, sim::Traffic::Probe);
+            b, probePayloadBytes, at, dropped, sim::Traffic::Probe);
         if (!dropped && aliveAt(b, delivered)) {
             // The pong is a flit-sized message; the return hop's
             // latency dominates, so model it as one hopLatency.

@@ -82,16 +82,15 @@ enum class BoardHealth : std::uint8_t
     Probation, ///< acking again; unroutable until rejoin hysteresis
 };
 
-/** Failure-detection / brown-out knobs. Defaults leave monitoring
- *  OFF (heartbeatPeriod = 0) so existing racks and goldens are
- *  untouched; dead-board failover still works per-request via ack
- *  timeouts even when monitoring is off. */
+/** Failure-detection knobs; monitoring also arms repair and
+ *  brown-out. Defaults leave monitoring OFF (heartbeatPeriod = 0)
+ *  so existing racks and goldens are untouched; dead-board failover
+ *  still works per-request via ack timeouts even when monitoring is
+ *  off. */
 struct HealthParams
 {
     /** Probe cadence in ticks; 0 disables detection entirely. */
     sim::Tick heartbeatPeriod = 0;
-    /** Probe payload carried per board per round. */
-    std::uint64_t probeBytes = 128;
     /** No ack within this many ticks of a send = one miss. Also
      *  the failover penalty a dead/dropped attempt costs. */
     sim::Tick ackTimeout = sim::Tick(50'000'000); // 50 us
@@ -101,14 +100,6 @@ struct HealthParams
     unsigned downAfter = 4;
     /** Consecutive Probation acks before rejoining Healthy. */
     unsigned rejoinAfter = 3;
-    /** Promote/re-replicate partitions off Down boards. */
-    bool repair = true;
-    /** Brown-out: admission-window occupancy fraction above which
-     *  a board counts as pressured even while Healthy. */
-    double shedPressure = 0.9;
-    /** Brown-out: shed when the predicted front-end delay exceeds
-     *  this fraction of the request's deadline. */
-    double shedDeadlineFrac = 0.25;
 
     /** "" when usable (or heartbeatPeriod = 0, which disables the
      *  monitor and its validation); else a sentence naming the

@@ -10,13 +10,20 @@ namespace dpu::rack {
 
 namespace {
 
+/** Brown-out: admission-window occupancy fraction at which a board
+ *  counts as pressured even while Healthy. */
+constexpr double brownOutOccupancy = 0.9;
+/** Brown-out: shed when the predicted front-end delay exceeds this
+ *  fraction of the request's deadline. */
+constexpr double brownOutDeadlineFrac = 0.25;
+
 /** The rack's balance::Transport: state rides the RackNet as
  *  Migration traffic, landing at the analytic delivery tick (kept
  *  as the transfer handle); a wire drop loses it at launch. */
 class NetHandoff : public balance::Transport
 {
   public:
-    NetHandoff(RackNet &n, const BalanceParams &b) : net(n), bal(b) {}
+    explicit NetHandoff(RackNet &n) : net(n) {}
 
     bool
     launch(balance::Migration &m, sim::Tick now) override
@@ -25,7 +32,7 @@ class NetHandoff : public balance::Transport
         // absorbed: a fixed snapshot base plus per-request working
         // set.
         const std::uint64_t bytes =
-            bal.stateBytesBase + bal.stateBytesPerRequest * m.absorbed;
+            migrationBaseBytes + migrationBytesPerRequest * m.absorbed;
         bool dropped = false;
         m.transfer = net.send(m.step.to, bytes, now, dropped,
                               sim::Traffic::Migration);
@@ -55,7 +62,6 @@ class NetHandoff : public balance::Transport
 
   private:
     RackNet &net;
-    const BalanceParams &bal;
 };
 
 /** @p p, fatal unless it validates on @p n_boards boards. */
@@ -85,7 +91,7 @@ PlacementParams::validate(unsigned n_boards) const
     if ((admitWindow == 0) != (admitPerWindow == 0))
         return "admission control needs both admitWindow and "
                "admitPerWindow set (or neither)";
-    std::string err = balance.validate("BalanceParams");
+    std::string err = balance.validate("PlacementParams.balance");
     if (!err.empty())
         return err;
     return health.validate();
@@ -120,8 +126,7 @@ RackScheduler::RackScheduler(Rack &r, host::OffloadParams per_dpu,
       stats("rack")
 {
     defaultDeadline = per_dpu.defaultTimeout;
-    netHandoff =
-        std::make_unique<NetHandoff>(rack.net(), place.balance);
+    netHandoff = std::make_unique<NetHandoff>(rack.net());
     balance::Rules rules;
     rules.homeOf = [this](unsigned part) { return homeOf(part); };
     rules.eligible = [this](const balance::MigrationStep &s) {
@@ -136,7 +141,6 @@ RackScheduler::RackScheduler(Rack &r, host::OffloadParams per_dpu,
     rules.commit = [this](const balance::Migration &m) {
         commitMigration(m);
     };
-    rules.deltaBytes = place.balance.stateBytesPerRequest;
     ledger = std::make_unique<balance::MigrationLedger>(
         place.balance, place.keyPartitions, rack.nBoards(),
         *netHandoff, std::move(rules), balanceStats);
@@ -354,7 +358,7 @@ RackScheduler::advanceHealth(sim::Tick when)
     const std::vector<HealthTransition> &log = mon->transitions();
     for (; seenTransitions < log.size(); ++seenTransitions) {
         const HealthTransition &t = log[seenTransitions];
-        if (t.to == BoardHealth::Down && place.health.repair)
+        if (t.to == BoardHealth::Down)
             repairBoard(t.board);
     }
     pumpRepairs(when);
@@ -370,8 +374,7 @@ RackScheduler::shouldShed(unsigned b, sim::Tick send_at,
     bool pressured = suspect;
     if (!pressured && place.admitWindow && place.admitPerWindow)
         pressured = double(windows[b].size()) >=
-                    place.health.shedPressure *
-                        double(place.admitPerWindow);
+                    brownOutOccupancy * double(place.admitPerWindow);
     if (!pressured)
         return false;
     // Predict the front-end delay from observable state: the
@@ -385,7 +388,7 @@ RackScheduler::shouldShed(unsigned b, sim::Tick send_at,
     const sim::Tick deadline =
         req.job.timeout ? req.job.timeout : defaultDeadline;
     return double(predicted) >
-           double(deadline) * place.health.shedDeadlineFrac;
+           double(deadline) * brownOutDeadlineFrac;
 }
 
 AdmitResult

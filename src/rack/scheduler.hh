@@ -96,16 +96,11 @@
 
 namespace dpu::rack {
 
-/** Rack-balancer knobs: the shared policy plus the state-size model
- *  of a hand-off. Defaults leave it OFF (window = 0). */
-struct BalanceParams : balance::Policy
-{
-    /** Partition state shipped per migration: a fixed base... */
-    std::uint64_t stateBytesBase = 64 * 1024;
-    /** ...plus this much per request the partition absorbed (its
-     *  working set grows with traffic). */
-    std::uint64_t stateBytesPerRequest = 256;
-};
+/** Partition state shipped per rack migration: a fixed base... */
+constexpr std::uint64_t migrationBaseBytes = 64 * 1024;
+/** ...plus this much per request the partition absorbed (its
+ *  working set grows with traffic). */
+constexpr std::uint64_t migrationBytesPerRequest = 256;
 
 /** Placement / admission / rebalancing knobs. */
 struct PlacementParams
@@ -119,7 +114,7 @@ struct PlacementParams
     /** Requests admitted per board per window (with admitWindow). */
     unsigned admitPerWindow = 0;
     /** Hot-shard balancer; balance.window = 0 keeps it off. */
-    BalanceParams balance{};
+    balance::Policy balance{};
     /** Failure detection / repair / brown-out;
      *  health.heartbeatPeriod = 0 keeps it all off. */
     HealthParams health{};

@@ -6,39 +6,9 @@
 
 #include "sim/logging.hh"
 #include "sim/rng.hh"
+#include "util/zipf.hh"
 
 namespace dpu::rack {
-
-ZipfSampler::ZipfSampler(std::uint64_t n, double s)
-{
-    sim_assert(n >= 1, "zipf sampler needs a non-empty key space");
-    sim_assert(s >= 0, "zipf exponent must be non-negative");
-    cdf.resize(n);
-    double acc = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        acc += 1.0 / std::pow(double(i + 1), s);
-        cdf[i] = acc;
-    }
-    for (double &v : cdf)
-        v /= acc;
-}
-
-std::uint64_t
-ZipfSampler::sample(double u01) const
-{
-    const auto it =
-        std::lower_bound(cdf.begin(), cdf.end(), u01);
-    return std::uint64_t(it == cdf.end() ? cdf.size() - 1
-                                         : it - cdf.begin());
-}
-
-double
-ZipfSampler::headMass(std::uint64_t k) const
-{
-    if (k == 0)
-        return 0;
-    return cdf[std::min<std::uint64_t>(k, cdf.size()) - 1];
-}
 
 std::vector<TraceEvent>
 generateTrace(const TraceConfig &cfg)
@@ -96,7 +66,7 @@ generateTrace(const TraceConfig &cfg)
     const double peak = cfg.ratePerSec * (1.0 + cfg.diurnalAmp) *
                         cfg.burstMultiplier;
 
-    ZipfSampler keys(cfg.nKeys, cfg.zipf);
+    const util::Zipf keys(cfg.nKeys, cfg.zipf);
 
     std::vector<TraceEvent> out;
     out.reserve(std::size_t(cfg.ratePerSec * cfg.durationSec));

@@ -85,26 +85,6 @@ struct TraceEvent
 /** Deterministic trace for @p cfg, sorted by arrival tick. */
 std::vector<TraceEvent> generateTrace(const TraceConfig &cfg);
 
-/**
- * Seed-deterministic Zipf(s) sampler over [0, n): a cumulative
- * table built once, binary-searched per draw. Exposed for tests
- * (hot-key mass assertions) and reuse by future skew workloads.
- */
-class ZipfSampler
-{
-  public:
-    ZipfSampler(std::uint64_t n, double s);
-
-    /** Draw a rank in [0, n); rank 0 is the hottest key. */
-    std::uint64_t sample(double u01) const;
-
-    /** Probability mass of the @p k hottest keys. */
-    double headMass(std::uint64_t k) const;
-
-  private:
-    std::vector<double> cdf;
-};
-
 } // namespace dpu::rack
 
 #endif // DPU_RACK_TRACE_HH

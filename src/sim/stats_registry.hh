@@ -5,11 +5,10 @@
  * Every StatGroup registers itself here on construction, so a test
  * can freeze the whole simulator's statistics into a StatsSnapshot —
  * a flat "group.stat" -> value map — then serialize it to JSON,
- * reload a checked-in golden copy, and diff the two with per-stat
- * tolerances. This is the backbone of the golden-stats regression
- * suite in tests/soc: the simulator's arithmetic is integer-exact,
- * so counters compare exactly by default while derived scalars get a
- * small relative tolerance.
+ * reload a checked-in golden copy, and diff the two. This is the
+ * backbone of the golden-stats regression suite in tests/soc: the
+ * simulator's arithmetic is integer-exact, so counters compare
+ * exactly while derived scalars get a small relative tolerance.
  *
  * Groups with duplicate names (a 16nm chip has one "dmac" group per
  * complex) are disambiguated in registration order as "dmac",
@@ -51,20 +50,6 @@ struct StatsSnapshot
                          std::string &err);
 };
 
-/** Tolerances for diffSnapshots(). */
-struct DiffOptions
-{
-    /** Relative tolerance for counters (0 = exact match). */
-    double counterRel = 0.0;
-    /** Relative tolerance for floating-point scalars. */
-    double scalarRel = 1e-9;
-    /**
-     * Per-stat overrides: any stat whose flat key starts with the
-     * prefix uses the given relative tolerance instead.
-     */
-    std::vector<std::pair<std::string, double>> prefixRel;
-};
-
 /** One stat that differs between golden and actual. */
 struct StatDiff
 {
@@ -76,13 +61,12 @@ struct StatDiff
 };
 
 /**
- * Compare @p actual against @p golden. A stat drifts when
- * |actual - golden| > tol * max(|golden|, 1); stats present on only
- * one side are reported as missing/extra.
+ * Compare @p actual against @p golden. Counters must match exactly;
+ * a scalar drifts when |actual - golden| > 1e-9 * max(|golden|, 1).
+ * Stats present on only one side are reported as missing/extra.
  */
 std::vector<StatDiff> diffSnapshots(const StatsSnapshot &golden,
-                                    const StatsSnapshot &actual,
-                                    const DiffOptions &opts = {});
+                                    const StatsSnapshot &actual);
 
 /** Render a diff list as readable "key: golden -> actual" lines. */
 std::string formatDiffs(const std::vector<StatDiff> &diffs);

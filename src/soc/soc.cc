@@ -38,7 +38,7 @@ Soc::Soc(sim::EventQueue *shared, const SocParams &params)
     cores.reserve(n);
     for (unsigned i = 0; i < n; ++i) {
         cores.push_back(std::make_unique<core::DpCore>(
-            i, eq, *mm, *l2s[i / core::coresPerMacro], p.isa));
+            i, eq, *l2s[i / core::coresPerMacro], p.isa));
         corePtrs.push_back(cores.back().get());
     }
 

@@ -86,13 +86,6 @@ ClusterTopology::threads(unsigned n)
     return *this;
 }
 
-ClusterTopology &
-ClusterTopology::dmaRetries(unsigned n)
-{
-    spec_.board.dmaRetries = n;
-    return *this;
-}
-
 std::string
 ClusterTopology::validate() const
 {

@@ -91,9 +91,6 @@ class ClusterTopology
     /** Epoch-runner worker threads per board. */
     ClusterTopology &threads(unsigned n);
 
-    /** Bulk-DMA retransmit budget on the board links. */
-    ClusterTopology &dmaRetries(unsigned n);
-
     // ------------------------------------------------------------
     // Inspection
     // ------------------------------------------------------------

@@ -1,9 +1,9 @@
 /**
  * @file
  * Zipf-distributed sampling for workload generators (term frequencies
- * in the similarity-search index, group-by key skew, JSON string
- * lengths). Uses the classic inverse-CDF-over-partial-harmonic table
- * for exact sampling with O(log n) draws.
+ * in the similarity-search index, hot keys in the rack's arrival
+ * trace). Uses the classic inverse-CDF-over-partial-harmonic table:
+ * built once, binary-searched per draw.
  */
 
 #ifndef DPU_UTIL_ZIPF_HH
@@ -14,7 +14,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/rng.hh"
+#include "sim/logging.hh"
 
 namespace dpu::util {
 
@@ -22,27 +22,36 @@ namespace dpu::util {
 class Zipf
 {
   public:
-    Zipf(std::size_t n, double s) : cdf(n)
+    Zipf(std::uint64_t n, double s) : cdf(n)
     {
+        sim_assert(n >= 1, "zipf sampler needs a non-empty key space");
+        sim_assert(s >= 0, "zipf exponent must be non-negative");
         double sum = 0.0;
-        for (std::size_t k = 0; k < n; ++k) {
+        for (std::uint64_t k = 0; k < n; ++k) {
             sum += 1.0 / std::pow(double(k + 1), s);
             cdf[k] = sum;
         }
-        for (auto &c : cdf)
+        for (double &c : cdf)
             c /= sum;
     }
 
-    /** Draw one rank. */
-    std::size_t
-    sample(sim::Rng &rng) const
+    /** The rank drawn by @p u01 in [0, 1); rank 0 is the hottest. */
+    std::uint64_t
+    sample(double u01) const
     {
-        double u = rng.uniform();
-        auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-        return std::size_t(it - cdf.begin());
+        const auto it = std::lower_bound(cdf.begin(), cdf.end(), u01);
+        return std::uint64_t(it == cdf.end() ? cdf.size() - 1
+                                             : it - cdf.begin());
     }
 
-    std::size_t size() const { return cdf.size(); }
+    /** Probability mass of the @p k hottest ranks. */
+    double
+    headMass(std::uint64_t k) const
+    {
+        if (k == 0)
+            return 0;
+        return cdf[std::min<std::uint64_t>(k, cdf.size()) - 1];
+    }
 
   private:
     std::vector<double> cdf;

@@ -106,7 +106,6 @@ struct Fixture
                 home[m.step.partition] = m.step.to;
         };
         rules.timeout = kTimeout;
-        rules.deltaBytes = 64;
         ledger = std::make_unique<MigrationLedger>(
             policy, kParts, kNodes, xport, std::move(rules), stats);
     }
@@ -292,11 +291,11 @@ TEST(MigrationLedger, OnlyRequestsServedAtTheSourceAreForwarded)
     f.ledger->forward(0, 1, 20); // served elsewhere (a replica)
     f.ledger->forward(2, 0, 30); // partition not in flight
     EXPECT_EQ(f.ledger->forwarding().requests, 1u);
-    EXPECT_EQ(f.ledger->forwarding().bytes, 64u);
+    EXPECT_EQ(f.ledger->forwarding().bytes, balance::forwardDeltaBytes);
     EXPECT_EQ(f.ledger->forwarding().dropped, 0u);
     ASSERT_EQ(f.xport.deltas.size(), 1u);
     EXPECT_EQ(f.xport.deltas[0].first, 0u);
-    EXPECT_EQ(f.xport.deltas[0].second, 64u);
+    EXPECT_EQ(f.xport.deltas[0].second, balance::forwardDeltaBytes);
 
     // A delta lost on the wire is still a forwarded request; the
     // drop is counted, never retried.

@@ -358,9 +358,8 @@ TEST(BoardBalance, ExhaustedRetransmitsAbortCleanlyAndKeepHomes)
     EXPECT_GE(rep.aborted, 1u);
     EXPECT_EQ(rep.timeoutAborts, 0u)
         << "a drained failure must abort cleanly, not time out";
-    // The first chunk alone retries 1 + dmaRetries times.
-    EXPECT_GE(rep.chunkRetries,
-              std::uint64_t(1 + s.brd->params().dmaRetries));
+    // The first chunk alone retries 1 + bulkRetries times.
+    EXPECT_GE(rep.chunkRetries, std::uint64_t(1 + board::bulkRetries));
     EXPECT_EQ(s.homes(), s.initialHome);
     EXPECT_EQ(s.sched->partitions().reassignedCount(), 0u);
 

@@ -156,7 +156,7 @@ TEST(LinkFabric, ExhaustedRetriesReportFailure)
 {
     sim::faultPlane().reset();
     sim::faultPlane().configure("link.drop@p=1", 7);
-    const auto b = topo::ClusterTopology::board(2).dmaRetries(2).buildBoard();
+    const auto b = topo::ClusterTopology::board(2).buildBoard();
 
     b->dpu(0).memory().store().store<std::uint32_t>(0x2000, 17);
     bool called = false, ok = true;

@@ -35,8 +35,8 @@ struct CoreFixture : ::testing::Test
 {
     CoreFixture()
         : mm(mem::ddr3_1600, 4 << 20), l2("l2", l2Params, mm),
-          core0(std::make_unique<DpCore>(0, eq, mm, l2)),
-          core1(std::make_unique<DpCore>(1, eq, mm, l2))
+          core0(std::make_unique<DpCore>(0, eq, l2)),
+          core1(std::make_unique<DpCore>(1, eq, l2))
     {
     }
 
@@ -77,7 +77,7 @@ TEST_F(CoreFixture, BranchPredictorBackwardTaken)
     // A taken backward branch (loop) is predicted: 1 cycle.
     sim::Tick loop = runOn0([](DpCore &c) { c.branch(true, true); });
     // A taken FORWARD branch is mispredicted: 1 + penalty.
-    core0 = std::make_unique<DpCore>(0, eq, mm, l2);
+    core0 = std::make_unique<DpCore>(0, eq, l2);
     sim::Tick fwd = runOn0([](DpCore &c) { c.branch(true, false); });
     EXPECT_GT(fwd, loop);
     EXPECT_EQ(fwd - loop,
@@ -91,7 +91,7 @@ TEST_F(CoreFixture, MultiplierIsVariableLatency)
     // "variable latency multiplier").
     EXPECT_GT(costs.mulCycles(64), costs.mulCycles(8));
     sim::Tick t8 = runOn0([](DpCore &c) { c.mul(8); });
-    core0 = std::make_unique<DpCore>(0, eq, mm, l2);
+    core0 = std::make_unique<DpCore>(0, eq, l2);
     sim::Tick t64 = runOn0([](DpCore &c) { c.mul(64); });
     EXPECT_GT(t64, t8);
 }
@@ -287,7 +287,7 @@ struct Rig
     sim::EventQueue eq;
     mem::MainMemory mm{mem::ddr3_1600, 4 << 20};
     mem::Cache l2{"l2", l2Params, mm};
-    DpCore core{0, eq, mm, l2};
+    DpCore core{0, eq, l2};
 };
 
 /** Charge @p n ops on a core, in one bulk call or one by one. */

@@ -205,7 +205,7 @@ TEST(MigrationPlan, MovesTheHeaviestEligiblePartitionToTheColdest)
     // idle. Partition 3 sits below minPartitionLoad (default 4).
     std::vector<double> loads = {10, 30, 20, 1};
     std::vector<unsigned> home = {0, 0, 0, 0};
-    rack::BalanceParams p;
+    balance::Policy p;
     p.window = 1;
     const auto plan = balance::planMigrations(loads, home, 4, p);
     ASSERT_EQ(plan.size(), 1u);
@@ -220,7 +220,7 @@ TEST(MigrationPlan, BudgetAndStrictImprovementBoundThePlan)
 {
     std::vector<double> loads = {10, 30, 20, 1};
     std::vector<unsigned> home = {0, 0, 0, 0};
-    rack::BalanceParams p;
+    balance::Policy p;
     p.window = 1;
     p.maxMigrationsPerWindow = 3;
     const auto plan = balance::planMigrations(loads, home, 4, p);
@@ -243,7 +243,7 @@ TEST(MigrationPlan, ASingleMegaPartitionNeverOscillates)
     // the hot spot, so the strict-improvement guard keeps it put.
     std::vector<double> loads = {100};
     std::vector<unsigned> home = {0};
-    rack::BalanceParams p;
+    balance::Policy p;
     p.window = 1;
     p.maxMigrationsPerWindow = 4;
     EXPECT_TRUE(balance::planMigrations(loads, home, 4, p).empty());
@@ -254,7 +254,7 @@ TEST(MigrationPlan, FrozenAndFeatherweightPartitionsStayPut)
 {
     std::vector<double> loads = {30, 3};
     std::vector<unsigned> home = {0, 0};
-    rack::BalanceParams p;
+    balance::Policy p;
     p.window = 1;
     std::vector<bool> frozen = {true, false};
     // Partition 0 is mid-migration (frozen) and partition 1 sits
@@ -273,7 +273,7 @@ TEST(MigrationPlan, NeedsAtLeastTwoBoardsAndRealLoad)
 {
     std::vector<double> loads = {50};
     std::vector<unsigned> home = {0};
-    rack::BalanceParams p;
+    balance::Policy p;
     p.window = 1;
     EXPECT_TRUE(balance::planMigrations(loads, home, 1, p).empty());
     // And a silent rack plans nothing (mean load 0).
@@ -358,8 +358,7 @@ TEST(RackBalance, MigrationDrainsAtTheSourceThenSwitches)
     EXPECT_EQ(c0, h0);
     EXPECT_EQ(c1, h1);
     // The hand-off payload rode the net as Migration traffic.
-    EXPECT_GT(r->net().migrationBytes(),
-              place.balance.stateBytesBase);
+    EXPECT_GT(r->net().migrationBytes(), rack::migrationBaseBytes);
     sim::faultPlane().reset();
 }
 

@@ -458,6 +458,35 @@ TEST(BrownOut, SuspectReplicasShedOnlyDeadlineRiskyRequests)
     EXPECT_EQ(sched.shedCount(), 1u);
 }
 
+TEST(BrownOut, NearlyFullAdmissionWindowShedsDeadlineRiskyRequests)
+{
+    // A Healthy board whose admission window holds `prior` of its
+    // 10 slots, then a request whose 10 us deadline the ~5.5 us
+    // hop-plus-wire delay cannot meet within the 25% budget.
+    auto offerAfter = [](unsigned prior) {
+        sim::faultPlane().reset();
+        const auto r = smallRack();
+        rack::PlacementParams place;
+        place.replication = 1;
+        place.admitWindow = kMs;
+        place.admitPerWindow = 10;
+        place.health = quietMonitor();
+        rack::RackScheduler sched(*r, {}, place);
+        for (unsigned i = 0; i < prior; ++i) {
+            const sim::Tick t = sim::Tick(i + 1) * kUs;
+            EXPECT_EQ(sched.enqueueAt(t, keyedRequest(t, 0, i)),
+                      rack::AdmitResult::Admitted);
+        }
+        rack::RackRequest tight = keyedRequest(20 * kUs, 0, 99);
+        tight.job.timeout = 10 * kUs;
+        return sched.enqueueAt(20 * kUs, std::move(tight));
+    };
+    // 9 of 10 slots is pressure (occupancy 0.9), so the risky
+    // request is shed; 8 of 10 is not, so it is admitted.
+    EXPECT_EQ(offerAfter(9), rack::AdmitResult::Shed);
+    EXPECT_EQ(offerAfter(8), rack::AdmitResult::Admitted);
+}
+
 // ----------------------------------------------------------------
 // S1: the admission window must not grow without the cap
 // ----------------------------------------------------------------

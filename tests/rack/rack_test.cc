@@ -25,6 +25,7 @@
 #include "sim/stats.hh"
 #include "sim/stats_registry.hh"
 #include "topo/topology.hh"
+#include "util/zipf.hh"
 
 using namespace dpu;
 
@@ -149,7 +150,7 @@ TEST(ArrivalTrace, RateScalesTheEventCount)
 
 TEST(ArrivalTrace, ZipfConcentratesMassOnHotKeys)
 {
-    const rack::ZipfSampler z(1 << 16, 0.99);
+    const util::Zipf z(1 << 16, 0.99);
     // Web-like skew: the hottest 1% of keys carry well over a
     // third of the mass; uniform would give them 1%.
     EXPECT_GT(z.headMass((1 << 16) / 100), 0.35);
@@ -157,7 +158,7 @@ TEST(ArrivalTrace, ZipfConcentratesMassOnHotKeys)
     EXPECT_DOUBLE_EQ(z.headMass(1 << 16), 1.0);
     EXPECT_EQ(z.sample(0.0), 0u);
     // And the zero-exponent sampler degrades to uniform-ish.
-    const rack::ZipfSampler u(100, 0.0);
+    const util::Zipf u(100, 0.0);
     EXPECT_NEAR(u.headMass(50), 0.5, 0.01);
 }
 

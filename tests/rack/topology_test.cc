@@ -41,7 +41,7 @@ TEST(ClusterTopology, BuildsASoc)
 TEST(ClusterTopology, BuildsABoardCarryingTheSpec)
 {
     sim::faultPlane().reset();
-    ClusterTopology t = ClusterTopology::board(4).threads(2).dmaRetries(7);
+    ClusterTopology t = ClusterTopology::board(4).threads(2);
     EXPECT_EQ(t.validate(), "");
     EXPECT_EQ(t.totalDpus(), 4u);
 
@@ -50,7 +50,6 @@ TEST(ClusterTopology, BuildsABoardCarryingTheSpec)
     EXPECT_EQ(b->nDpus(), 4u);
     EXPECT_EQ(b->params().nDpus, 4u);
     EXPECT_EQ(b->params().threads, 2u);
-    EXPECT_EQ(b->params().dmaRetries, 7u);
 }
 
 TEST(ClusterTopology, BuildsARackCarryingTheSpec)
