@@ -44,9 +44,9 @@ struct AppResult
 };
 
 /** Copy a host vector into simulated DDR at @p addr. */
-template <typename T>
+template <typename T, typename A>
 inline void
-stage(soc::Soc &s, mem::Addr addr, const std::vector<T> &v)
+stage(soc::Soc &s, mem::Addr addr, const std::vector<T, A> &v)
 {
     s.memory().store().write(addr, v.data(), v.size() * sizeof(T));
 }

@@ -310,8 +310,31 @@ disparityApp(const DisparityConfig &cfg)
 // Serving job: row-banded SAD argmin over a shift range
 // ----------------------------------------------------------------
 
+DisparityInputs
+disparityPrepare(const DisparityConfig &cfg, std::uint64_t seed,
+                 unsigned)
+{
+    const std::uint32_t w = cfg.width, h = cfg.height;
+    const std::uint64_t wh = std::uint64_t(w) * h;
+    DisparityInputs in;
+    sim::Rng rng{seed ^ cfg.seed};
+    in.images.resize(wh * 2); // left then right
+    for (auto &px : in.images)
+        px = std::uint8_t(rng.below(256));
+    const std::uint8_t *left = in.images.data();
+    const std::uint8_t *right = in.images.data() + wh;
+    in.map.resize(wh);
+    for (std::uint64_t r = 0; r < h; ++r)
+        for (std::uint32_t x = 0; x < w; ++x)
+            in.map[r * w + x] =
+                sadArgmin(left + r * w, right + r * w, w, x,
+                          cfg.maxShift, cfg.window);
+    return in;
+}
+
 ServingJob
-disparityJob(const DisparityConfig &cfg, ServingContext ctx)
+disparityJob(const DisparityConfig &cfg, ServingContext ctx,
+             std::shared_ptr<DisparityInputs> in)
 {
     const std::uint32_t w = cfg.width, h = cfg.height;
     sim_assert(w % 4 == 0 && w <= 4096,
@@ -322,28 +345,17 @@ disparityJob(const DisparityConfig &cfg, ServingContext ctx)
     const mem::Addr d_base = ctx.carve(wh);
 
     soc::Soc *s = ctx.soc;
-    const std::uint64_t seed = ctx.seed ^ cfg.seed;
+    // validate() checks the exact disparity map.
+    auto expect =
+        std::make_shared<const std::vector<std::uint8_t>>(in->map);
 
     ServingJob job;
     job.workUnits = double(wh);
     job.unitName = "pixels";
-    // stage() fills in the exact disparity map for validate().
-    auto expect = std::make_shared<std::vector<std::uint8_t>>();
-    job.stage = [=] {
-        sim::Rng rng{seed};
-        std::vector<std::uint8_t> v(wh * 2); // left then right
-        for (auto &px : v)
-            px = std::uint8_t(rng.below(256));
-        const std::uint8_t *left = v.data();
-        const std::uint8_t *right = v.data() + wh;
-        s->memory().store().write(l_base, left, wh);
-        s->memory().store().write(r_base, right, wh);
-        expect->resize(wh);
-        for (std::uint64_t r = 0; r < h; ++r)
-            for (std::uint32_t x = 0; x < w; ++x)
-                (*expect)[r * w + x] =
-                    sadArgmin(left + r * w, right + r * w, w, x,
-                              cfg.maxShift, cfg.window);
+    job.stage = [=, in = std::move(in)]() mutable {
+        s->memory().store().write(l_base, in->images.data(), wh);
+        s->memory().store().write(r_base, in->images.data() + wh, wh);
+        in.reset();
     };
     job.lane = [=](core::DpCore &c, unsigned lane) {
         Slice sl = laneSlice(h, ctx.nLanes, lane);

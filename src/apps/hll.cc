@@ -289,8 +289,28 @@ hllApp(const HllConfig &cfg)
 // and replayed host-side
 // ----------------------------------------------------------------
 
+HllInputs
+hllPrepare(const HllConfig &cfg, std::uint64_t seed, unsigned n_lanes)
+{
+    const std::uint32_t m = 1u << cfg.pBits;
+    HllConfig gen = cfg;
+    gen.seed = seed ^ cfg.seed;
+    HllInputs in;
+    const auto elements = makeElements(gen);
+    in.elements.assign(elements.begin(), elements.end());
+    in.regs.assign(n_lanes, std::vector<std::uint8_t>(m, 0));
+    for (unsigned l = 0; l < n_lanes; ++l) {
+        Slice sl = laneSlice(in.elements.size(), n_lanes, l);
+        for (std::uint64_t i = 0; i < sl.count; ++i)
+            update(hashOf(in.elements[sl.begin + i], cfg.hash),
+                   cfg.pBits, cfg.useNtz, in.regs[l]);
+    }
+    return in;
+}
+
 ServingJob
-hllJob(const HllConfig &cfg, ServingContext ctx)
+hllJob(const HllConfig &cfg, ServingContext ctx,
+       std::shared_ptr<HllInputs> in)
 {
     const std::uint32_t m = 1u << cfg.pBits;
     sim_assert(m <= 8 * 1024, "register file exceeds DMEM budget");
@@ -299,26 +319,17 @@ hllJob(const HllConfig &cfg, ServingContext ctx)
     const mem::Addr res_base = ctx.carve(std::uint64_t(ctx.nLanes) * m);
 
     soc::Soc *s = ctx.soc;
-    HllConfig gen = cfg;
-    gen.seed = ctx.seed ^ cfg.seed;
+    // validate() checks each lane's exact register file.
+    auto expect =
+        std::make_shared<const std::vector<std::vector<std::uint8_t>>>(
+            in->regs);
 
     ServingJob job;
     job.workUnits = double(n);
     job.unitName = "elements";
-    // stage() fills in each lane's exact register file for
-    // validate().
-    auto expect =
-        std::make_shared<std::vector<std::vector<std::uint8_t>>>();
-    job.stage = [=] {
-        const auto data = makeElements(gen);
-        stage(*s, data_base, data);
-        expect->assign(ctx.nLanes, std::vector<std::uint8_t>(m, 0));
-        for (unsigned l = 0; l < ctx.nLanes; ++l) {
-            Slice sl = laneSlice(n, ctx.nLanes, l);
-            for (std::uint64_t i = 0; i < sl.count; ++i)
-                update(hashOf(data[sl.begin + i], cfg.hash), cfg.pBits,
-                       cfg.useNtz, (*expect)[l]);
-        }
+    job.stage = [=, in = std::move(in)]() mutable {
+        stage(*s, data_base, in->elements);
+        in.reset();
     };
     job.lane = [=](core::DpCore &c, unsigned lane) {
         Slice sl = laneSlice(n, ctx.nLanes, lane);

@@ -272,26 +272,38 @@ jsonApp(const JsonConfig &cfg)
 // Serving job: boundary-exact per-lane parse, summed tallies
 // ----------------------------------------------------------------
 
-ServingJob
-jsonJob(const JsonConfig &cfg, ServingContext ctx)
+JsonInputs
+jsonPrepare(const JsonConfig &cfg, std::uint64_t seed, unsigned)
 {
     JsonConfig gen = cfg;
-    gen.seed = ctx.seed ^ cfg.seed;
-    // Generate once at job-build time: the text's size fixes the
-    // chunking and every lane's slice.
-    auto text = std::make_shared<std::string>(makeRecords(gen));
-    const std::uint64_t bytes = text->size();
+    gen.seed = seed ^ cfg.seed;
+    JsonInputs in;
+    const std::string text = makeRecords(gen);
+    in.text.assign(text.begin(), text.end());
+    in.tally = parseSpan(in.text.data(), in.text.size());
+    return in;
+}
+
+ServingJob
+jsonJob(const JsonConfig &cfg, ServingContext ctx,
+        std::shared_ptr<JsonInputs> in)
+{
+    // The text's size fixes the chunking and every lane's slice.
+    const std::uint64_t bytes = in->text.size();
     const mem::Addr data_base = ctx.carve(bytes + padBytes);
     const mem::Addr res_base = ctx.carve(ctx.nLanes * 24);
     const std::uint64_t chunk = chunkBytes(bytes, ctx.nLanes);
 
     soc::Soc *s = ctx.soc;
+    // validate() checks the lanes' summed tallies against it.
+    const JsonTally expect = in->tally;
 
     ServingJob job;
     job.workUnits = double(bytes);
     job.unitName = "bytes";
-    job.stage = [=] {
-        s->memory().store().write(data_base, text->data(), bytes);
+    job.stage = [=, in = std::move(in)]() mutable {
+        s->memory().store().write(data_base, in->text.data(), bytes);
+        in.reset();
     };
     job.lane = [=](core::DpCore &c, unsigned lane) {
         rt::DmsCtl ctl(c, s->dmsFor(c.id()));
@@ -305,7 +317,6 @@ jsonJob(const JsonConfig &cfg, ServingContext ctx)
         dumpToDdr(ctl, out_off, res_base + lane * 24, 24);
     };
     job.validate = [=] {
-        JsonTally expect = parseSpan(text->data(), bytes);
         JsonTally got;
         for (unsigned l = 0; l < ctx.nLanes; ++l) {
             auto w =

@@ -2,7 +2,11 @@
 
 #include "apps/entry.hh"
 
+#include <atomic>
 #include <charconv>
+#include <new>
+
+#include <sys/mman.h>
 
 #include "sim/logging.hh"
 
@@ -68,14 +72,28 @@ as(const ConfigHandle &h)
     return *static_cast<C *>(h.get());
 }
 
+std::atomic<std::uint64_t> inlinePrepareCount{0};
+
+/** An app's prepared inputs with the request they were made for. */
+template <typename In>
+struct Made
+{
+    ConfigHandle cfg; ///< compared by identity, and kept alive
+    std::uint64_t seed = 0;
+    unsigned nLanes = 0;
+    std::shared_ptr<In> in;
+};
+
 /** Build one AppSpec from typed callables. */
-template <typename C>
+template <typename C, typename In>
 AppSpec
 makeSpec(std::string name, std::string summary, double paper_gain,
          C defaults,
          bool (*set_field)(C &, std::string_view, std::string_view),
          AppResult (*run)(const C &),
-         ServingJob (*serve)(const C &, ServingContext))
+         In (*prepare)(const C &, std::uint64_t, unsigned),
+         ServingJob (*serve)(const C &, ServingContext,
+                             std::shared_ptr<In>))
 {
     AppSpec spec;
     spec.name = std::move(name);
@@ -89,9 +107,32 @@ makeSpec(std::string name, std::string summary, double paper_gain,
         return set_field(as<C>(h), k, v);
     };
     spec.run = [run](const ConfigHandle &h) { return run(as<C>(h)); };
-    spec.serve = [serve](const ConfigHandle &h,
-                         const ServingContext &ctx) {
-        return serve(as<C>(h), ctx);
+    spec.prepare = [prepare](const ConfigHandle &h,
+                             std::uint64_t seed, unsigned n_lanes) {
+        auto in =
+            std::make_shared<In>(prepare(as<C>(h), seed, n_lanes));
+        PreparedInputs p;
+        p.bytes = in->bytes();
+        p.data = Made<In>{h, seed, n_lanes, std::move(in)};
+        return p;
+    };
+    spec.serve = [prepare, serve](const ConfigHandle &h,
+                                  const ServingContext &ctx) {
+        const auto *made = std::any_cast<Made<In>>(&ctx.prepared.data);
+        std::shared_ptr<In> in;
+        if (made && made->cfg == h && made->seed == ctx.seed &&
+            made->nLanes == ctx.nLanes) {
+            in = made->in;
+        } else {
+            in = std::make_shared<In>(
+                prepare(as<C>(h), ctx.seed, ctx.nLanes));
+            inlinePrepareCount.fetch_add(1, std::memory_order_relaxed);
+        }
+        // The job's lambdas capture its context; only stage() may
+        // hold the inputs, so it can drop them once they are in DDR.
+        ServingContext bare = ctx;
+        bare.prepared = {};
+        return serve(as<C>(h), std::move(bare), std::move(in));
     };
     return spec;
 }
@@ -208,12 +249,12 @@ buildRegistry()
 
     r.push_back(makeSpec<SvmConfig>(
         "svm", "SMO training / fixed-point inference (Section 5.1)",
-        15.0, SvmConfig{}, svmSet, svmApp, svmJob));
+        15.0, SvmConfig{}, svmSet, svmApp, svmPrepare, svmJob));
 
     r.push_back(makeSpec<SimSearchConfig>(
         "simsearch", "tf-idf similarity scoring (Section 5.2)", 3.9,
         SimSearchConfig{}, simSearchSet, simSearchApp,
-        simSearchJob));
+        simSearchPrepare, simSearchJob));
 
     {
         // Figure 14's operating point (8 MB of column per core).
@@ -221,7 +262,8 @@ buildRegistry()
         f.rowsPerCore = 256 << 10;
         r.push_back(makeSpec<sql::FilterConfig>(
             "filter", "SQL predicate scan via FILT (Section 5.3)",
-            6.7, f, filterSet, sql::filterApp, sql::filterJob));
+            6.7, f, filterSet, sql::filterApp, sql::filterPrepare,
+            sql::filterJob));
     }
 
     {
@@ -229,7 +271,8 @@ buildRegistry()
         low.ndv = 256;
         r.push_back(makeSpec<sql::GroupByConfig>(
             "groupby-low", "low-NDV aggregation (Section 5.3)", 6.7,
-            low, groupBySet, sql::groupByLowApp, sql::groupByJob));
+            low, groupBySet, sql::groupByLowApp, sql::groupByPrepare,
+            sql::groupByJob));
     }
     {
         sql::GroupByConfig high;
@@ -237,12 +280,13 @@ buildRegistry()
         r.push_back(makeSpec<sql::GroupByConfig>(
             "groupby-high",
             "high-NDV partitioned aggregation (Section 5.3)", 9.7,
-            high, groupBySet, sql::groupByHighApp, sql::groupByJob));
+            high, groupBySet, sql::groupByHighApp,
+            sql::groupByPrepare, sql::groupByJob));
     }
 
     r.push_back(makeSpec<HllConfig>(
         "hll-crc", "HyperLogLog with CRC32 hashing (Section 5.4)",
-        9.0, HllConfig{}, hllSet, hllApp, hllJob));
+        9.0, HllConfig{}, hllSet, hllApp, hllPrepare, hllJob));
 
     {
         HllConfig murmur;
@@ -250,17 +294,17 @@ buildRegistry()
         r.push_back(makeSpec<HllConfig>(
             "hll-murmur",
             "HyperLogLog with Murmur64 hashing (Section 5.4)", 1.5,
-            murmur, hllSet, hllApp, hllJob));
+            murmur, hllSet, hllApp, hllPrepare, hllJob));
     }
 
     r.push_back(makeSpec<JsonConfig>(
         "json", "jump-table JSON parsing (Section 5.5)", 8.0,
-        JsonConfig{}, jsonSet, jsonApp, jsonJob));
+        JsonConfig{}, jsonSet, jsonApp, jsonPrepare, jsonJob));
 
     r.push_back(makeSpec<DisparityConfig>(
         "disparity", "stereo disparity SAD argmin (Section 5.6)",
         8.6, DisparityConfig{}, disparitySet, disparityApp,
-        disparityJob));
+        disparityPrepare, disparityJob));
 
     return r;
 }
@@ -276,6 +320,28 @@ ServingContext::carve(std::uint64_t bytes)
     const mem::Addr at = arena + carved;
     carved += alignUp(bytes, 64);
     return at;
+}
+
+void *
+mapImage(std::size_t bytes)
+{
+    void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    return p;
+}
+
+void
+unmapImage(void *p, std::size_t bytes)
+{
+    munmap(p, bytes);
+}
+
+std::uint64_t
+inlinePrepares()
+{
+    return inlinePrepareCount.load(std::memory_order_relaxed);
 }
 
 const std::vector<AppSpec> &

@@ -18,6 +18,7 @@
 #ifndef DPU_APPS_REGISTRY_HH
 #define DPU_APPS_REGISTRY_HH
 
+#include <any>
 #include <functional>
 #include <memory>
 #include <string>
@@ -30,6 +31,20 @@ namespace dpu::apps {
 
 /** Opaque shared handle to one app's config struct. */
 using ConfigHandle = std::shared_ptr<void>;
+
+/**
+ * A serving job's host-side preparation: its DDR input image(s) and
+ * the exact expected result, built by AppSpec::prepare as a pure
+ * function of (config, seed, lanes). The payload is the app's own
+ * type, keyed by what it was made for; only that app's serve()
+ * reads it.
+ */
+struct PreparedInputs
+{
+    std::any data;
+    /** Image bytes held until the job's stage() drops them. */
+    std::uint64_t bytes = 0;
+};
 
 /**
  * Per-request resources a serving job is instantiated against: the
@@ -45,6 +60,12 @@ struct ServingContext
     std::uint64_t arenaBytes = 0;
     std::uint64_t seed = 0;      ///< per-request seed
     std::uint64_t carved = 0;    ///< arena bytes carve() handed out
+    /**
+     * Inputs prepared ahead of dispatch for this request. serve()
+     * uses them when they were made for its (config, seed, lanes)
+     * and prepares inline otherwise.
+     */
+    PreparedInputs prepared;
 
     /**
      * Lay out the arena: the next block of @p bytes, 64-byte
@@ -64,8 +85,8 @@ struct ServingContext
  * invocation, a serving job stages its inputs into its job-private
  * DDR arena, runs one kernel lane per group core, and is validated
  * host-side against an exact integer replay:
- *  - stage() runs host-side before dispatch and places inputs in DDR
- *    through the backing store;
+ *  - stage() runs host-side before dispatch and places the prepared
+ *    inputs in DDR through the backing store, then drops them;
  *  - lane() is the kernel body executed on core baseCore+lane for
  *    every lane;
  *  - validate() runs host-side after all lanes acked and checks the
@@ -112,6 +133,16 @@ struct AppSpec
      */
     std::function<AppResult(const ConfigHandle &cfg)> run;
 
+    /**
+     * The serving job's host-side preparation for a request with
+     * per-request seed @p seed on an @p nLanes core group. Pure: it
+     * reads no Soc, stats, tracer or fault plane, so it may run on
+     * any thread ahead of dispatch.
+     */
+    std::function<PreparedInputs(const ConfigHandle &cfg,
+                                 std::uint64_t seed, unsigned nLanes)>
+        prepare;
+
     /** Instantiate the app as a core-group serving job. */
     std::function<ServingJob(const ConfigHandle &cfg,
                              const ServingContext &ctx)>
@@ -123,6 +154,13 @@ const std::vector<AppSpec> &registry();
 
 /** Look up an app by name; nullptr when absent. */
 const AppSpec *findApp(std::string_view name);
+
+/**
+ * Test accessor: serve() calls, process-wide, that found no matching
+ * prepared inputs in their context and prepared inline. Deliberately
+ * not a stat cell, so it cannot move a stats digest.
+ */
+std::uint64_t inlinePrepares();
 
 /**
  * Convenience: run app @p name with @p opts applied over the

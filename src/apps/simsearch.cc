@@ -360,8 +360,35 @@ simSearchApp(const SimSearchConfig &cfg)
 // Serving job: posting-list scan against a dense query table
 // ----------------------------------------------------------------
 
+SimSearchInputs
+simSearchPrepare(const SimSearchConfig &cfg, std::uint64_t seed,
+                 unsigned)
+{
+    const std::uint64_t n_post =
+        std::uint64_t(cfg.nDocs) * cfg.avgTermsPerDoc;
+    seed ^= cfg.seed;
+    SimSearchInputs in;
+    sim::Rng q_rng{seed};
+    in.query.assign(cfg.vocab, 0);
+    for (std::uint32_t t = 0; t < cfg.termsPerQuery; ++t)
+        in.query[q_rng.below(cfg.vocab)] =
+            std::int32_t(1 + q_rng.below(1 << 10));
+    sim::Rng p_rng{seed + 1};
+    in.postings.resize(n_post * 2);
+    for (std::uint64_t i = 0; i < n_post; ++i) {
+        in.postings[i * 2] = std::uint32_t(p_rng.below(cfg.vocab));
+        in.postings[i * 2 + 1] =
+            std::uint32_t(1 + p_rng.below(1 << 10));
+    }
+    for (std::uint64_t i = 0; i < n_post; ++i)
+        in.score += std::int64_t(in.query[in.postings[i * 2]]) *
+                    std::int32_t(in.postings[i * 2 + 1]);
+    return in;
+}
+
 ServingJob
-simSearchJob(const SimSearchConfig &cfg, ServingContext ctx)
+simSearchJob(const SimSearchConfig &cfg, ServingContext ctx,
+             std::shared_ptr<SimSearchInputs> in)
 {
     sim_assert(cfg.vocab > 0 && cfg.vocab * 4 <= 8192,
                "serving simsearch needs the query table in DMEM");
@@ -373,31 +400,16 @@ simSearchJob(const SimSearchConfig &cfg, ServingContext ctx)
     const mem::Addr res_base = ctx.carve(ctx.nLanes * 8);
 
     soc::Soc *s = ctx.soc;
-    const std::uint64_t seed = ctx.seed ^ cfg.seed;
+    // validate() checks the lanes' sum against the exact score.
+    const std::int64_t expect = in->score;
 
     ServingJob job;
     job.workUnits = double(n_post);
     job.unitName = "postings";
-    // stage() fills in the exact score for validate().
-    auto expect = std::make_shared<std::int64_t>(0);
-    job.stage = [=] {
-        sim::Rng q_rng{seed};
-        std::vector<std::int32_t> q(cfg.vocab, 0);
-        for (std::uint32_t t = 0; t < cfg.termsPerQuery; ++t)
-            q[q_rng.below(cfg.vocab)] =
-                std::int32_t(1 + q_rng.below(1 << 10));
-        sim::Rng p_rng{seed + 1};
-        std::vector<std::uint32_t> v(n_post * 2);
-        for (std::uint64_t i = 0; i < n_post; ++i) {
-            v[i * 2] = std::uint32_t(p_rng.below(cfg.vocab));
-            v[i * 2 + 1] = std::uint32_t(1 + p_rng.below(1 << 10));
-        }
-        stage(*s, q_base, q);
-        stage(*s, p_base, v);
-        *expect = 0;
-        for (std::uint64_t i = 0; i < n_post; ++i)
-            *expect += std::int64_t(q[v[i * 2]]) *
-                       std::int32_t(v[i * 2 + 1]);
+    job.stage = [=, in = std::move(in)]() mutable {
+        stage(*s, q_base, in->query);
+        stage(*s, p_base, in->postings);
+        in.reset();
     };
     job.lane = [=](core::DpCore &c, unsigned lane) {
         Slice sl = laneSlice(n_post, ctx.nLanes, lane);
@@ -436,7 +448,7 @@ simSearchJob(const SimSearchConfig &cfg, ServingContext ctx)
     };
     job.validate = [=] {
         return std::int64_t(sumLaneWords(*s, res_base, ctx.nLanes)) ==
-               *expect;
+               expect;
     };
     return job;
 }

@@ -139,8 +139,22 @@ filterApp(const FilterConfig &cfg)
 // Serving job: per-lane FILT scan over a column slice
 // ----------------------------------------------------------------
 
+FilterInputs
+filterPrepare(const FilterConfig &cfg, std::uint64_t seed,
+              unsigned n_lanes)
+{
+    const auto col = makeColumn(std::uint64_t(cfg.rowsPerCore) * n_lanes,
+                                seed ^ cfg.seed);
+    FilterInputs in;
+    in.column.assign(col.begin(), col.end());
+    for (std::uint32_t x : in.column)
+        in.passed += (x >= cfg.lo && x <= cfg.hi);
+    return in;
+}
+
 ServingJob
-filterJob(const FilterConfig &cfg, ServingContext ctx)
+filterJob(const FilterConfig &cfg, ServingContext ctx,
+          std::shared_ptr<FilterInputs> in)
 {
     const std::uint64_t rows =
         std::uint64_t(cfg.rowsPerCore) * ctx.nLanes;
@@ -151,19 +165,15 @@ filterJob(const FilterConfig &cfg, ServingContext ctx)
     const mem::Addr res_base = ctx.carve(ctx.nLanes * 8);
 
     soc::Soc *s = ctx.soc;
-    const std::uint64_t seed = ctx.seed ^ cfg.seed;
+    // validate() checks the lanes' sum against the exact count.
+    const std::uint64_t expect = in->passed;
 
     ServingJob job;
     job.workUnits = double(rows);
     job.unitName = "tuples";
-    // stage() fills in the exact pass count for validate().
-    auto expect = std::make_shared<std::uint64_t>(0);
-    job.stage = [=] {
-        const auto col = makeColumn(rows, seed);
-        stage(*s, data_base, col);
-        *expect = 0;
-        for (std::uint32_t x : col)
-            *expect += (x >= cfg.lo && x <= cfg.hi);
+    job.stage = [=, in = std::move(in)]() mutable {
+        stage(*s, data_base, in->column);
+        in.reset();
     };
     job.lane = [=](core::DpCore &c, unsigned lane) {
         Slice sl = laneSlice(rows, ctx.nLanes, lane);
@@ -182,7 +192,7 @@ filterJob(const FilterConfig &cfg, ServingContext ctx)
                         res_base + lane * 8);
     };
     job.validate = [=] {
-        return sumLaneWords(*s, res_base, ctx.nLanes) == *expect;
+        return sumLaneWords(*s, res_base, ctx.nLanes) == expect;
     };
     return job;
 }

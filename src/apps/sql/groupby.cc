@@ -572,8 +572,26 @@ groupByHighApp(const GroupByConfig &cfg)
 // (key, value) pairs, host merge
 // ----------------------------------------------------------------
 
+GroupByInputs
+groupByPrepare(const GroupByConfig &cfg, std::uint64_t seed, unsigned)
+{
+    const std::uint64_t rows = cfg.nRows;
+    GroupByInputs in;
+    sim::Rng rng{seed ^ cfg.seed};
+    in.pairs.resize(rows * 2);
+    for (std::uint64_t r = 0; r < rows; ++r) {
+        in.pairs[r * 2] = std::uint32_t(rng.below(cfg.ndv));
+        in.pairs[r * 2 + 1] = std::uint32_t(rng.below(1 << 16));
+    }
+    in.sums.assign(cfg.ndv, 0);
+    for (std::uint64_t r = 0; r < rows; ++r)
+        in.sums[in.pairs[r * 2]] += in.pairs[r * 2 + 1];
+    return in;
+}
+
 ServingJob
-groupByJob(const GroupByConfig &cfg, ServingContext ctx)
+groupByJob(const GroupByConfig &cfg, ServingContext ctx,
+           std::shared_ptr<GroupByInputs> in)
 {
     sim_assert(cfg.ndv > 0 && cfg.ndv <= 1024,
                "serving group-by needs the table in DMEM (ndv %u)",
@@ -585,24 +603,16 @@ groupByJob(const GroupByConfig &cfg, ServingContext ctx)
         ctx.carve(std::uint64_t(ctx.nLanes) * tab_bytes);
 
     soc::Soc *s = ctx.soc;
-    const std::uint64_t seed = ctx.seed ^ cfg.seed;
-    // stage() fills in the exact per-group sums for validate().
-    auto expect = std::make_shared<std::vector<std::uint64_t>>();
+    // validate() checks the merged tables against the exact sums.
+    auto expect = std::make_shared<const std::vector<std::uint64_t>>(
+        in->sums);
 
     ServingJob job;
     job.workUnits = double(rows);
     job.unitName = "rows";
-    job.stage = [=] {
-        sim::Rng rng{seed};
-        std::vector<std::uint32_t> v(rows * 2);
-        for (std::uint64_t r = 0; r < rows; ++r) {
-            v[r * 2] = std::uint32_t(rng.below(cfg.ndv));
-            v[r * 2 + 1] = std::uint32_t(rng.below(1 << 16));
-        }
-        stage(*s, data_base, v);
-        expect->assign(cfg.ndv, 0);
-        for (std::uint64_t r = 0; r < rows; ++r)
-            (*expect)[v[r * 2]] += v[r * 2 + 1];
+    job.stage = [=, in = std::move(in)]() mutable {
+        stage(*s, data_base, in->pairs);
+        in.reset();
     };
     job.lane = [=](core::DpCore &c, unsigned lane) {
         Slice sl = laneSlice(rows, ctx.nLanes, lane);

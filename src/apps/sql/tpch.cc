@@ -533,7 +533,9 @@ dpuTpch(const soc::SocParams &params, const TpchConfig &cfg,
             for (unsigned id = 0; id < n_cores; ++id)
                 for (unsigned k = 0; k < 4; ++k)
                     sums[k] += q1agg[id][g * 4 + k];
-            std::string base = "g" + std::to_string(g) + "_";
+            std::string base = "g";
+            base += std::to_string(g);
+            base += '_';
             r.values[base + "qty"] = sums[0];
             r.values[base + "price"] = sums[1];
             r.values[base + "disc_price"] = sums[2];
@@ -612,7 +614,9 @@ xeonTpch(const TpchConfig &cfg, const std::string &query)
             sums[g][3] += 1;
         }
         for (unsigned g = 0; g < 6; ++g) {
-            std::string base = "g" + std::to_string(g) + "_";
+            std::string base = "g";
+            base += std::to_string(g);
+            base += '_';
             r.values[base + "qty"] = sums[g][0];
             r.values[base + "price"] = sums[g][1];
             r.values[base + "disc_price"] = sums[g][2];

@@ -340,8 +340,25 @@ svmApp(const SvmConfig &cfg)
 // Serving job: classify a staged test batch against staged weights
 // ----------------------------------------------------------------
 
+SvmInputs
+svmPrepare(const SvmConfig &cfg, std::uint64_t seed, unsigned)
+{
+    const std::uint32_t dims = cfg.dims;
+    const std::uint64_t n = cfg.nTest;
+    SvmInputs in;
+    sim::Rng rng{seed ^ cfg.seed};
+    in.v.resize(dims + n * std::uint64_t(dims));
+    for (auto &x : in.v)
+        x = std::int32_t(rng.below(2048)) - 1024;
+    for (std::uint64_t r = 0; r < n; ++r)
+        in.positive += dotQ(in.v.data(), in.v.data() + dims + r * dims,
+                            dims) > 0;
+    return in;
+}
+
 ServingJob
-svmJob(const SvmConfig &cfg, ServingContext ctx)
+svmJob(const SvmConfig &cfg, ServingContext ctx,
+       std::shared_ptr<SvmInputs> in)
 {
     const std::uint32_t dims = cfg.dims;
     sim_assert(dims > 0 && dims * 4 <= 2048,
@@ -353,27 +370,18 @@ svmJob(const SvmConfig &cfg, ServingContext ctx)
     const mem::Addr res_base = ctx.carve(ctx.nLanes * 8);
 
     soc::Soc *s = ctx.soc;
-    const std::uint64_t seed = ctx.seed ^ cfg.seed;
-    // stage() fills in the exact positive count; validate() checks
-    // the lanes' sum against it.
-    auto expect = std::make_shared<std::uint64_t>(0);
+    // validate() checks the lanes' sum against the exact count.
+    const std::uint64_t expect = in->positive;
 
     ServingJob job;
     job.workUnits = double(n);
     job.unitName = "samples";
-    job.stage = [=] {
-        sim::Rng rng{seed};
-        std::vector<std::int32_t> v(dims + n * std::uint64_t(dims));
-        for (auto &x : v)
-            x = std::int32_t(rng.below(2048)) - 1024;
+    job.stage = [=, in = std::move(in)]() mutable {
         // Weights first, then samples row-major.
-        s->memory().store().write(w_base, v.data(), row_bytes);
-        s->memory().store().write(x_base, v.data() + dims,
+        s->memory().store().write(w_base, in->v.data(), row_bytes);
+        s->memory().store().write(x_base, in->v.data() + dims,
                                   n * std::uint64_t(row_bytes));
-        *expect = 0;
-        for (std::uint64_t r = 0; r < n; ++r)
-            *expect += dotQ(v.data(), v.data() + dims + r * dims,
-                            dims) > 0;
+        in.reset();
     };
     job.lane = [=](core::DpCore &c, unsigned lane) {
         Slice sl = laneSlice(n, ctx.nLanes, lane);
@@ -412,7 +420,7 @@ svmJob(const SvmConfig &cfg, ServingContext ctx)
                         res_base + lane * 8);
     };
     job.validate = [=] {
-        return sumLaneWords(*s, res_base, ctx.nLanes) == *expect;
+        return sumLaneWords(*s, res_base, ctx.nLanes) == expect;
     };
     return job;
 }

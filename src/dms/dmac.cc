@@ -26,6 +26,16 @@ cyc(sim::Cycles c)
 Dmac::Dmac(DmsContext &ctx_)
     : ctx(ctx_), stats("dmac"), partDst(ctx_.nCores())
 {
+    stats.addFlushHook([this] { flushStats(); });
+}
+
+void
+Dmac::flushStats()
+{
+    shDescriptors.flushInto(stats, "descriptors");
+    shBytesToDmem.flushInto(stats, "bytesToDmem");
+    shBytesFromDmem.flushInto(stats, "bytesFromDmem");
+    shRowsPartitioned.flushInto(stats, "rowsPartitioned");
 }
 
 sim::Tick
@@ -118,7 +128,7 @@ void
 Dmac::execute(unsigned core, const Descriptor &d, mem::Addr eff_ddr,
               std::uint32_t eff_dmem, sim::Tick issue, DoneFn done)
 {
-    ++stats.counter("descriptors");
+    ++shDescriptors;
     // The front-end handles one incoming descriptor at a time.
     // Internal pipeline-stage commands (hash, partition store,
     // flush) ride the already-dispatched chain and skip it.
@@ -256,13 +266,13 @@ Dmac::execDdrToDmem(unsigned core, const Descriptor &d,
         ctx.eq.schedule(std::max(t, ctx.eq.now()),
                         [this] { --gathersActive; },
                         sim::EvTag::Dms);
-        stats.counter("bytesToDmem") += moved;
+        shBytesToDmem += moved;
     } else {
         t = ddrStream(ddr, dst.raw() + dmem, bytes, false, start);
         sim::Tick bus = std::max(dmaxBus[m], start) + dmaxTicks(bytes);
         dmaxBus[m] = bus;
         t = std::max(t, bus);
-        stats.counter("bytesToDmem") += bytes;
+        shBytesToDmem += bytes;
     }
 
     // The engine is occupied while ISSUING the request stream (its
@@ -312,13 +322,13 @@ Dmac::execDmemToDdr(unsigned core, const Descriptor &d,
         sim::Tick bus = std::max(dmaxBus[m], start) + dmaxTicks(moved);
         dmaxBus[m] = bus;
         t = std::max(t, bus);
-        stats.counter("bytesFromDmem") += moved;
+        shBytesFromDmem += moved;
     } else {
         t = ddrStream(ddr, src.raw() + dmem, bytes, true, start);
         sim::Tick bus = std::max(dmaxBus[m], start) + dmaxTicks(bytes);
         dmaxBus[m] = bus;
         t = std::max(t, bus);
-        stats.counter("bytesFromDmem") += bytes;
+        shBytesFromDmem += bytes;
     }
 
     storeEngine[m] = start + dmaxTicks(bytes); // issue occupancy
@@ -651,7 +661,7 @@ Dmac::partStep()
             ++p.rowsInBuf;
             job.t += per_row;
             ++job.row;
-            ++stats.counter("rowsPartitioned");
+            ++shRowsPartitioned;
         }
 
         cmemBusy[d.ibank] = job.t;

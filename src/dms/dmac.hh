@@ -43,6 +43,11 @@ class Dmac
   public:
     explicit Dmac(DmsContext &ctx);
 
+    // The stat flush hook captures `this`, so the controller stays
+    // put (the DMS owns it behind a pointer).
+    Dmac(const Dmac &) = delete;
+    Dmac &operator=(const Dmac &) = delete;
+
     /**
      * Execute a data descriptor.
      * @param core      The pushing dpCore (selects the DMAX/engine,
@@ -172,8 +177,15 @@ class Dmac
     void finalizeBuffer(unsigned dst_core, sim::Tick t,
                         bool final_buf = false);
 
+    /** Fold the per-row and per-descriptor shadows into stats. */
+    void flushStats();
+
     DmsContext &ctx;
     sim::StatGroup stats;
+    /** Hot-path counters, folded in by a flush hook: the partition
+     *  pipe bumps rowsPartitioned once per row. */
+    sim::DeferredCounter shDescriptors, shBytesToDmem,
+        shBytesFromDmem, shRowsPartitioned;
 
     // Internal SRAMs.
     std::array<std::array<std::uint8_t, cmemBankBytes>, nCmemBanks>

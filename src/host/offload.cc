@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "host/prepare.hh"
 #include "host/summary.hh"
 #include "sim/fault.hh"
 #include "sim/logging.hh"
@@ -42,6 +43,17 @@ constexpr mem::Addr jobArenaBase = 1 << 20;
 /** Arena bytes per group (inputs + outputs + DMS prefetch slack). */
 constexpr std::uint64_t jobArenaBytes = 6 << 20;
 
+/**
+ * Lookahead bounds, per scheduler: requests whose preparation has
+ * started and that are not yet dispatched, and their image bytes
+ * (estimated from each app's latest preparation). Prepared images
+ * wait in host memory, so these bounds are what keep the peak
+ * resident set near inline staging's (one svm input is 2 MiB, and
+ * a rack runs one scheduler per chip).
+ */
+constexpr unsigned lookaheadJobs = 4;
+constexpr std::uint64_t lookaheadBytes = 1 << 20;
+
 /** Trace track ids on TraceCat::Soc. */
 constexpr std::uint32_t hostTid = 0x500;
 constexpr std::uint32_t groupTid = 0x510;
@@ -50,7 +62,8 @@ constexpr std::uint32_t groupTid = 0x510;
 
 OffloadScheduler::OffloadScheduler(soc::Soc &soc_, soc::HostA9 &a9_,
                                    OffloadParams params)
-    : soc(soc_), a9(a9_), p(std::move(params)), stats(p.statName)
+    : soc(soc_), a9(a9_), p(std::move(params)), stats(p.statName),
+      budget(std::make_shared<PrepBudget>())
 {
     sim_assert(p.groupSize > 0 && p.nCores % p.groupSize == 0,
                "group size %u must divide the %u managed cores",
@@ -84,7 +97,7 @@ OffloadScheduler::enqueueAt(sim::Tick when, JobRequest req)
                        when >= arrivals.back().when,
                    "held-open arrivals must be time-ordered");
     }
-    arrivals.push_back({when, std::move(req)});
+    arrivals.push_back({when, std::move(req), nullptr});
 }
 
 void
@@ -96,6 +109,8 @@ OffloadScheduler::start()
                      [](const Arrival &a, const Arrival &b) {
                          return a.when < b.when;
                      });
+    // The first requests' inputs, before the run admits them.
+    prepareAhead();
 
     // Persistent worker loop on every managed core: receive a
     // dispatch pointer, run the group's kernel lane, ack the host.
@@ -137,8 +152,22 @@ OffloadScheduler::start()
     a9.start([this](soc::HostA9 &host) { hostMain(host); });
 }
 
+void
+OffloadScheduler::usePreparePool(PreparePool *pool_)
+{
+    sim_assert(!started, "choose the prepare pool before start()");
+    pool = pool_;
+    poolChosen = true;
+}
+
 bool
 OffloadScheduler::submitNow(JobRequest req)
+{
+    return admit(std::move(req), nullptr);
+}
+
+bool
+OffloadScheduler::admit(JobRequest req, std::shared_ptr<PrepSlot> slot)
 {
     const sim::Tick now = a9.now();
     ++stats.counter("submitted");
@@ -165,6 +194,7 @@ OffloadScheduler::submitNow(JobRequest req)
     pend.deadline =
         now + (pend.req.timeout ? pend.req.timeout : p.defaultTimeout);
     pend.queueSpan = DPU_TRACE_NEXT_ID();
+    pend.slot = std::move(slot);
     DPU_TRACE_SPAN_BEGIN(sim::TraceCat::Soc, hostTid, "job.queued",
                          pend.queueSpan, now, "job", rec.id, nullptr,
                          0);
@@ -173,8 +203,41 @@ OffloadScheduler::submitNow(JobRequest req)
     return true;
 }
 
+void
+OffloadScheduler::prepareAhead()
+{
+    aheadCursor = std::max(aheadCursor, nextArrival);
+    for (; aheadCursor < arrivals.size(); ++aheadCursor) {
+        if (budget->slots >= lookaheadJobs ||
+            budget->bytes >= lookaheadBytes)
+            return;
+        Arrival &a = arrivals[aheadCursor];
+        const apps::AppSpec *spec =
+            a.req.app.empty() ? nullptr : apps::findApp(a.req.app);
+        if (!spec)
+            continue; // makeJob-only: nothing registered to prepare
+        if (!poolChosen) {
+            pool = &PreparePool::shared();
+            poolChosen = true;
+        }
+        if (!pool || pool->helpers() == 0)
+            return;
+        // Pin the config: the job must be served from the very
+        // handle its inputs were prepared for.
+        if (!a.req.cfg)
+            a.req.cfg = spec->makeConfig();
+        const auto last = lastBytes.find(a.req.app);
+        a.slot = std::make_shared<PrepSlot>(
+            *spec, a.req.cfg, a.req.seed, p.groupSize, budget,
+            last == lastBytes.end() ? 0 : last->second);
+        pool->submit(a.when, a.slot);
+        ++preparedAheadCnt;
+    }
+}
+
 apps::ServingJob
-OffloadScheduler::buildJob(const JobRequest &req, unsigned group)
+OffloadScheduler::buildJob(const JobRequest &req, unsigned group,
+                           PrepSlot *slot)
 {
     apps::ServingContext ctx;
     ctx.soc = &soc;
@@ -183,6 +246,10 @@ OffloadScheduler::buildJob(const JobRequest &req, unsigned group)
     ctx.arena = jobArenaBase + std::uint64_t(group) * jobArenaBytes;
     ctx.arenaBytes = jobArenaBytes;
     ctx.seed = req.seed;
+    if (slot) {
+        ctx.prepared = slot->take();
+        lastBytes[req.app] = ctx.prepared.bytes;
+    }
     if (req.makeJob)
         return req.makeJob(ctx);
     const apps::AppSpec *spec = apps::findApp(req.app);
@@ -204,8 +271,11 @@ void
 OffloadScheduler::admitArrivals(soc::HostA9 &host)
 {
     while (nextArrival < arrivals.size() &&
-           arrivals[nextArrival].when <= host.now())
-        (void)submitNow(arrivals[nextArrival++].req);
+           arrivals[nextArrival].when <= host.now()) {
+        Arrival &a = arrivals[nextArrival++];
+        (void)admit(std::move(a.req), std::move(a.slot));
+    }
+    prepareAhead();
 }
 
 void
@@ -266,6 +336,7 @@ OffloadScheduler::reapTimeouts(soc::HostA9 &host)
             Pending pend;
             pend.id = rec.id;
             pend.req = std::move(grp.req);
+            pend.slot = std::move(grp.slot);
             pend.deadline = now + (pend.req.timeout
                                        ? pend.req.timeout
                                        : p.defaultTimeout);
@@ -309,9 +380,10 @@ OffloadScheduler::dispatchReady(soc::HostA9 &host)
 
         // Driver work: build the job, stage its inputs in the
         // group's arena, write the descriptors.
-        apps::ServingJob job = buildJob(pend.req, g);
+        apps::ServingJob job = buildJob(pend.req, g, pend.slot.get());
         host.busyUs(dispatchDriverUs);
         job.stage();
+        prepareAhead();
 
         const sim::Tick now = host.now();
         rec.state = JobState::Running;
@@ -328,6 +400,7 @@ OffloadScheduler::dispatchReady(soc::HostA9 &host)
         grp.acksOutstanding = grp.size;
         grp.job = std::move(job);
         grp.req = std::move(pend.req);
+        grp.slot = std::move(pend.slot);
         grp.runSpan = DPU_TRACE_NEXT_ID();
         DPU_TRACE_SPAN_BEGIN(sim::TraceCat::Soc, groupTid + g,
                              "job.run", grp.runSpan, now, "job",
@@ -370,6 +443,7 @@ OffloadScheduler::handleAck(soc::HostA9 &host, std::uint64_t msg)
         grp.state = GroupState::Free;
         grp.job = {};
         grp.req = {};
+        grp.slot = {};
         DPU_TRACE_INSTANT(sim::TraceCat::Soc, groupTid + g,
                           "job.lateAck", now, "job", grp.jobId);
         return;
@@ -387,6 +461,7 @@ OffloadScheduler::handleAck(soc::HostA9 &host, std::uint64_t msg)
     grp.state = GroupState::Free;
     grp.job = {};
     grp.req = {};
+    grp.slot = {};
     resolveJob(rec, host);
 }
 

@@ -23,7 +23,10 @@
  *    wedged kernel costs its group, never the simulation;
  *  - per-request latency percentiles and throughput land in the
  *    "sched" StatGroup, and each job emits enqueue/dispatch/run
- *    lifecycle spans through the tracer (TraceCat::Soc).
+ *    lifecycle spans through the tracer (TraceCat::Soc);
+ *  - a bounded lookahead over the open-loop arrivals prepares each
+ *    registry request's inputs on the shared PreparePool's helper
+ *    threads (host/prepare.hh) before its dispatch needs them.
  */
 
 #ifndef DPU_HOST_OFFLOAD_HH
@@ -32,6 +35,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,6 +46,10 @@
 #include "soc/soc.hh"
 
 namespace dpu::host {
+
+class PrepSlot;
+class PreparePool;
+struct PrepBudget;
 
 /** Scheduler configuration. */
 struct OffloadParams
@@ -193,6 +202,13 @@ class OffloadScheduler
     /** Start workers + the host driver loop; then run the Soc. */
     void start();
 
+    /**
+     * Tests: prepare ahead on @p pool instead of the shared one;
+     * nullptr, or a pool without helpers, prepares every request
+     * inline at its dispatch. Call before start().
+     */
+    void usePreparePool(PreparePool *pool);
+
     // ------------------------------------------------------------
     // Host-context API (valid inside hooks)
     // ------------------------------------------------------------
@@ -208,11 +224,18 @@ class OffloadScheduler
     ServingSummary summary() const { return finalSummary; }
     unsigned nGroups() const { return unsigned(groups.size()); }
 
+    /** Tests: requests handed to the pool for preparation ahead of
+     *  dispatch. Not a stat cell, so digests cannot see it. */
+    std::uint64_t preparedAhead() const { return preparedAheadCnt; }
+
   private:
     struct Arrival
     {
         sim::Tick when;
         JobRequest req;
+        /** Preparation started ahead; null until the lookahead
+         *  reaches the request, and for makeJob-only requests. */
+        std::shared_ptr<PrepSlot> slot;
     };
 
     struct Pending
@@ -221,6 +244,7 @@ class OffloadScheduler
         JobRequest req;
         sim::Tick deadline;
         std::uint32_t queueSpan;
+        std::shared_ptr<PrepSlot> slot;
     };
 
     enum class GroupState : std::uint8_t
@@ -245,11 +269,14 @@ class OffloadScheduler
         apps::ServingJob job;
         /** Retained so a reaped job can be requeued. */
         JobRequest req;
+        std::shared_ptr<PrepSlot> slot;
         std::uint32_t runSpan = 0;
         sim::Tick quarantinedAt = 0;
     };
 
     void hostMain(soc::HostA9 &host);
+    bool admit(JobRequest req, std::shared_ptr<PrepSlot> slot);
+    void prepareAhead();
     void admitArrivals(soc::HostA9 &host);
     void reapTimeouts(soc::HostA9 &host);
     void dispatchReady(soc::HostA9 &host);
@@ -257,7 +284,8 @@ class OffloadScheduler
     void resolveJob(JobRecord &rec, soc::HostA9 &host);
     sim::Tick nextWake() const;
     void finalize(soc::HostA9 &host);
-    apps::ServingJob buildJob(const JobRequest &req, unsigned group);
+    apps::ServingJob buildJob(const JobRequest &req, unsigned group,
+                              PrepSlot *slot);
 
     soc::Soc &soc;
     soc::HostA9 &a9;
@@ -266,6 +294,17 @@ class OffloadScheduler
 
     std::vector<Arrival> arrivals; ///< sorted at start()
     std::size_t nextArrival = 0;
+    /** Next arrival the lookahead considers (>= nextArrival). */
+    std::size_t aheadCursor = 0;
+    /** Where preparations run; chosen at the first request that
+     *  has one (nullptr afterwards: prepare inline). */
+    PreparePool *pool = nullptr;
+    bool poolChosen = false;
+    std::shared_ptr<PrepBudget> budget;
+    /** Image bytes of each app's latest preparation: the estimate
+     *  a new slot charges the budget. */
+    std::map<std::string, std::uint64_t, std::less<>> lastBytes;
+    std::uint64_t preparedAheadCnt = 0;
     std::deque<Pending> queue;
     std::vector<Group> groups;
     std::vector<JobRecord> records;

@@ -172,10 +172,14 @@ RackScheduler::RackScheduler(Rack &r, host::OffloadParams per_dpu,
             // Per-shard serving accounting only matters (and only
             // folds) when the balancer is live, so un-balanced
             // goldens stay byte-identical.
-            for (unsigned b = 0; b < boardAdmitted.size(); ++b)
-                if (boardAdmitted[b])
-                    stats.counter("b" + std::to_string(b) +
-                                  ".admitted") = boardAdmitted[b];
+            for (unsigned b = 0; b < boardAdmitted.size(); ++b) {
+                if (!boardAdmitted[b])
+                    continue;
+                std::string cell = "b";
+                cell += std::to_string(b);
+                cell += ".admitted";
+                stats.counter(cell) = boardAdmitted[b];
+            }
         }
     });
 }

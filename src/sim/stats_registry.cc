@@ -32,8 +32,10 @@ StatsRegistry::snapshot() const
     for (const StatGroup *g : groups) {
         std::string prefix = g->name();
         unsigned repeat = seen[prefix]++;
-        if (repeat > 0)
-            prefix += "#" + std::to_string(repeat);
+        if (repeat > 0) {
+            prefix += '#';
+            prefix += std::to_string(repeat);
+        }
         prefix += ".";
         for (const auto &[name, value] : g->counterCells())
             snap.counters[prefix + name] = value;

@@ -38,6 +38,7 @@ TEST(AppRegistry, SpecsAreComplete)
         EXPECT_TRUE(spec.makeConfig != nullptr) << spec.name;
         EXPECT_TRUE(spec.set != nullptr) << spec.name;
         EXPECT_TRUE(spec.run != nullptr) << spec.name;
+        EXPECT_TRUE(spec.prepare != nullptr) << spec.name;
         EXPECT_TRUE(spec.serve != nullptr) << spec.name;
         EXPECT_TRUE(spec.makeConfig() != nullptr) << spec.name;
     }

@@ -3,7 +3,8 @@
  * Offload-scheduler tests: admission control under a bounded queue,
  * deadline reaping of wedged and slow kernels (the simulator must
  * never hang on a fault), late-ack group reclamation, and the
- * closed-loop resubmission path. Fault injection uses the
+ * closed-loop resubmission path, and inputs prepared ahead of
+ * dispatch on helper threads. Fault injection uses the
  * JobRequest::makeJob hook to plant kernels the registry would
  * never produce.
  */
@@ -12,11 +13,14 @@
 
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "host/offload.hh"
+#include "host/prepare.hh"
 #include "rt/dms_ctl.hh"
 #include "sim/fault.hh"
 #include "soc/soc.hh"
@@ -185,8 +189,8 @@ TEST(OffloadScheduler, MixedRegistryLoadCompletesAndValidates)
 
 TEST(OffloadScheduler, RegistryValidationIsNotVacuous)
 {
-    // stage() computes each job's expected result from the inputs it
-    // writes. Right after staging, before any lane has run, the
+    // prepare() computes each job's expected result from the inputs
+    // stage() writes. Right after staging, before any lane has run, the
     // job's validator must reject the untouched output region; after
     // a normal dispatch it must accept the lanes' output.
     for (const apps::AppSpec &spec : apps::registry()) {
@@ -555,4 +559,243 @@ TEST(OffloadScheduler, LateAckFromOldDispatchReclaimsDuringRetry)
     EXPECT_LT(sum.availability, 1.0);
     EXPECT_TRUE(s.allFinished());
     EXPECT_TRUE(a9.finished());
+}
+
+// ----------------------------------------------------------------
+// Inputs prepared ahead of dispatch
+// ----------------------------------------------------------------
+
+namespace {
+
+/** @p spec's config at its chip-serve serving size. */
+apps::ConfigHandle
+servingConfig(const apps::AppSpec &spec)
+{
+    apps::ConfigHandle cfg = spec.makeConfig();
+    for (const auto &[k, v] : servingSizes().at(spec.name))
+        EXPECT_TRUE(spec.set(cfg, k, v)) << spec.name << " " << k;
+    return cfg;
+}
+
+/** Every registry app once, 200 us apart, each request built by
+ *  @p make from its app and config. */
+template <typename Make>
+unsigned
+enqueueRegistryMix(OffloadScheduler &sched, Make make)
+{
+    unsigned n = 0;
+    for (const apps::AppSpec &spec : apps::registry()) {
+        JobRequest req = make(spec, servingConfig(spec));
+        req.seed = 300 + n;
+        sched.enqueueAt(sim::Tick(200e6) * ++n, std::move(req));
+    }
+    return n;
+}
+
+/** A plain registry request. */
+JobRequest
+registryRequest(const apps::AppSpec &spec, apps::ConfigHandle cfg)
+{
+    JobRequest req;
+    req.app = spec.name;
+    req.cfg = std::move(cfg);
+    return req;
+}
+
+/** A registry request behind a dpubench-style wrapper: its makeJob
+ *  forwards the context it is handed to the app's serve(). */
+JobRequest
+forwardingRequest(const apps::AppSpec &spec, apps::ConfigHandle cfg)
+{
+    JobRequest req = registryRequest(spec, cfg);
+    req.makeJob = [&spec, cfg](const apps::ServingContext &ctx) {
+        return spec.serve(cfg, ctx);
+    };
+    return req;
+}
+
+soc::SocParams
+servingChip()
+{
+    soc::SocParams sp = soc::dpu40nm();
+    sp.ddrBytes = 64 << 20;
+    return sp;
+}
+
+} // namespace
+
+TEST(PreparedInputs, HelperThreadAndInlinePathsStageTheSameJob)
+{
+    for (const apps::AppSpec &spec : apps::registry()) {
+        SCOPED_TRACE(spec.name);
+        const apps::ConfigHandle cfg = servingConfig(spec);
+        soc::Soc s(servingChip());
+        apps::ServingContext ctx;
+        ctx.soc = &s;
+        ctx.nLanes = 4;
+        ctx.arena = 1 << 20;
+        ctx.arenaBytes = 6 << 20;
+        ctx.seed = 4242;
+
+        apps::ServingContext ahead = ctx;
+        std::thread helper([&] {
+            ahead.prepared = spec.prepare(cfg, ctx.seed, ctx.nLanes);
+        });
+        helper.join();
+        EXPECT_GT(ahead.prepared.bytes, 0u);
+
+        const std::uint64_t inline_before = apps::inlinePrepares();
+        apps::ServingJob prepared = spec.serve(cfg, ahead);
+        EXPECT_EQ(apps::inlinePrepares(), inline_before)
+            << "serve() ignored inputs made for its request";
+        apps::ServingJob inlined = spec.serve(cfg, ctx);
+        EXPECT_EQ(apps::inlinePrepares(), inline_before + 1);
+
+        // Both jobs stage into the same arena: the bytes must match.
+        std::vector<std::uint8_t> a(ctx.arenaBytes), b(ctx.arenaBytes);
+        const std::vector<std::uint8_t> zero(ctx.arenaBytes, 0);
+        prepared.stage();
+        s.memory().store().read(ctx.arena, a.data(), a.size());
+        s.memory().store().write(ctx.arena, zero.data(), zero.size());
+        inlined.stage();
+        s.memory().store().read(ctx.arena, b.data(), b.size());
+        EXPECT_TRUE(a == b) << "staged DDR images differ";
+
+        // One real dispatch of the lanes; both validators must agree
+        // with its output, and neither with the untouched output.
+        EXPECT_FALSE(prepared.validate());
+        EXPECT_FALSE(inlined.validate());
+        for (unsigned lane = 0; lane < ctx.nLanes; ++lane)
+            s.start(lane, [&inlined, lane](core::DpCore &c) {
+                inlined.lane(c, lane);
+            });
+        s.run();
+        ASSERT_TRUE(s.allFinished());
+        EXPECT_TRUE(inlined.validate());
+        EXPECT_TRUE(prepared.validate());
+    }
+}
+
+TEST(PreparedInputs, ForwardingWrapperConsumesPreparedInputs)
+{
+    PreparePool pool(2);
+    // dpubench's track() wraps every request in a makeJob that hands
+    // its context on to the app's serve(); the inputs prepared ahead
+    // must ride through it. A wrapper that drops them is the control.
+    for (const bool forward : {true, false}) {
+        SCOPED_TRACE(forward ? "forwarding" : "dropping");
+        soc::Soc s(servingChip());
+        soc::HostA9 a9(s.eventQueue(), s.mbc());
+        OffloadScheduler sched(s, a9, {});
+        sched.usePreparePool(&pool);
+        const unsigned n = enqueueRegistryMix(
+            sched, [forward](const apps::AppSpec &spec,
+                             apps::ConfigHandle cfg) {
+                JobRequest req = forwardingRequest(spec, cfg);
+                if (!forward)
+                    req.makeJob = [&spec,
+                                   cfg](const apps::ServingContext &c) {
+                        apps::ServingContext bare = c;
+                        bare.prepared = {};
+                        return spec.serve(cfg, bare);
+                    };
+                return req;
+            });
+
+        const std::uint64_t inline_before = apps::inlinePrepares();
+        sched.start();
+        s.run();
+
+        EXPECT_EQ(sched.preparedAhead(), n);
+        EXPECT_EQ(apps::inlinePrepares() - inline_before,
+                  forward ? 0u : n);
+        const ServingSummary sum = sched.summary();
+        EXPECT_EQ(sum.completed, n);
+        EXPECT_EQ(sum.validationFailed, 0u);
+    }
+}
+
+TEST(PreparedInputs, RequeuedJobReusesItsSlot)
+{
+    // The first dispatch's core stalls forever, so the job is reaped
+    // at its deadline and requeued onto the other group. Its second
+    // dispatch takes its inputs from the same slot, not from a fresh
+    // submission or serve()'s inline fallback.
+    sim::faultPlane().reset();
+    sim::faultPlane().configure("core.stall@nth=1,max=1,mag=0", 5);
+    PreparePool pool(2);
+    soc::Soc s(servingChip());
+    soc::HostA9 a9(s.eventQueue(), s.mbc());
+    OffloadParams p = twoGroups();
+    p.maxAttempts = 2;
+    OffloadScheduler sched(s, a9, p);
+    sched.usePreparePool(&pool);
+
+    const apps::AppSpec *spec = apps::findApp("filter");
+    ASSERT_NE(spec, nullptr);
+    JobRequest req = registryRequest(*spec, servingConfig(*spec));
+    req.timeout = sim::Tick(2e9); // 2 ms
+    req.seed = 77;
+    sched.enqueueAt(sim::Tick(10e6), std::move(req));
+
+    const std::uint64_t inline_before = apps::inlinePrepares();
+    sched.start();
+    s.run();
+    sim::faultPlane().reset();
+
+    const ServingSummary sum = sched.summary();
+    EXPECT_EQ(sum.requeued, 1u);
+    EXPECT_EQ(sum.completed, 1u);
+    EXPECT_EQ(sum.validationFailed, 0u);
+    ASSERT_EQ(sched.jobs().size(), 1u);
+    EXPECT_EQ(sched.jobs()[0].attempts, 2u);
+    EXPECT_TRUE(sched.jobs()[0].valid);
+    EXPECT_EQ(sched.preparedAhead(), 1u);
+    EXPECT_EQ(apps::inlinePrepares(), inline_before);
+}
+
+TEST(PreparedInputs, MakeJobOnlyRequestsArePreparedNever)
+{
+    soc::Soc s;
+    soc::HostA9 a9(s.eventQueue(), s.mbc());
+    OffloadScheduler sched(s, a9, twoGroups());
+    for (unsigned i = 0; i < 6; ++i)
+        sched.enqueueAt(sim::Tick(1e6) * i, quickJob());
+    sched.start();
+    s.run();
+    EXPECT_EQ(sched.summary().completed, 6u);
+    EXPECT_EQ(sched.preparedAhead(), 0u);
+}
+
+TEST(PreparedInputs, ZeroHelpersRunIsIdenticalToHelperRun)
+{
+    // Preparation is invisible to the simulation: the same request
+    // stream gives the same records and the same chip stats whether
+    // helpers prepared ahead or every dispatch prepared inline.
+    auto run = [](PreparePool *pool, std::uint64_t &ahead) {
+        soc::Soc s(servingChip());
+        soc::HostA9 a9(s.eventQueue(), s.mbc());
+        OffloadScheduler sched(s, a9, {});
+        sched.usePreparePool(pool);
+        enqueueRegistryMix(sched, registryRequest);
+        sched.start();
+        s.run();
+        std::ostringstream os;
+        for (const JobRecord &rec : sched.jobs())
+            os << rec.id << ' ' << rec.app << ' ' << rec.dispatchedAt
+               << ' ' << rec.finishedAt << ' ' << rec.valid << '\n';
+        s.dumpStats(os);
+        ahead = sched.preparedAhead();
+        return os.str();
+    };
+    PreparePool helpers(3), none(0);
+    std::uint64_t with_helpers = 0, with_none = 0, with_null = 0;
+    const std::string a = run(&helpers, with_helpers);
+    const std::string b = run(&none, with_none);
+    const std::string c = run(nullptr, with_null);
+    EXPECT_EQ(with_helpers, apps::registry().size());
+    EXPECT_EQ(with_none, 0u);
+    EXPECT_EQ(with_null, 0u);
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(a, c);
 }

@@ -32,7 +32,9 @@ constexpr unsigned kChannels = 5;
 std::string
 chanName(unsigned ch)
 {
-    return "c" + std::to_string(ch);
+    std::string name = "c";
+    name += std::to_string(ch);
+    return name;
 }
 
 /** The reference tally of everything offered to one channel. */
