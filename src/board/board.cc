@@ -5,7 +5,7 @@
 namespace dpu::board {
 
 Board::Board(const BoardParams &params)
-    : p(params), link(p.nDpus, p.link)
+    : p(params), link(p.nDpus)
 {
     queues.reserve(p.nDpus);
     dpus.reserve(p.nDpus);
@@ -36,7 +36,9 @@ Board::Board(const BoardParams &params)
         qs.push_back(q.get());
     sim::ParallelParams pp;
     pp.threads = p.threads;
-    pp.lookahead = p.link.hopLatency;
+    // The link hop latency is the largest window that keeps
+    // cross-chip delivery conservative.
+    pp.lookahead = linkTiming.hopLatency;
     runner = std::make_unique<sim::EpochRunner>(
         std::move(qs), pp, [this](unsigned d) { link.drainInbound(d); });
 }

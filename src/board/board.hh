@@ -64,10 +64,6 @@ struct BoardParams
 {
     unsigned nDpus = 2;
     soc::SocParams soc = soc::dpu40nm();
-    /** Link timing; its hop latency is also the epoch lookahead,
-     *  the largest window that keeps cross-chip delivery
-     *  conservative. */
-    LinkParams link{};
     /** Worker threads for the epoch runner (1 = serial epochs; the
      *  schedule is identical either way). */
     unsigned threads = 1;

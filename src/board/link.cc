@@ -6,8 +6,8 @@
 
 namespace dpu::board {
 
-LinkFabric::LinkFabric(unsigned n_dpus, const LinkParams &params)
-    : sim::Wire(n_dpus * n_dpus, params, "link",
+LinkFabric::LinkFabric(unsigned n_dpus)
+    : sim::Wire(n_dpus * n_dpus, linkTiming, "link",
                 sim::FaultSite::LinkDelay, sim::FaultSite::LinkDrop,
                 [n_dpus](unsigned ch) {
                     return "ch" + std::to_string(ch / n_dpus) + "to" +

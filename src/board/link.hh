@@ -54,10 +54,8 @@ namespace dpu::board {
 /** Link timing: a modest 12 GB/s board link, 600 ns per hop, one
  *  64-byte header flit minimum. The hop latency also bounds the
  *  epoch runner's lookahead. */
-struct LinkParams : sim::WireParams
-{
-    LinkParams() : sim::WireParams{sim::Tick(600'000), 12.0, 64} {}
-};
+inline constexpr sim::WireParams linkTiming{sim::Tick(600'000), 12.0,
+                                            64};
 
 /** The board's N x N channel matrix. */
 class LinkFabric : private sim::Wire
@@ -69,7 +67,7 @@ class LinkFabric : private sim::Wire
     /** Bulk delivery hook: ok=false means the link dropped it. */
     using BulkHandler = std::function<void(bool ok)>;
 
-    LinkFabric(unsigned n_dpus, const LinkParams &params);
+    explicit LinkFabric(unsigned n_dpus);
 
     unsigned size() const { return n; }
 

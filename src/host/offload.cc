@@ -260,9 +260,8 @@ OffloadScheduler::buildJob(const JobRequest &req, unsigned group,
 }
 
 void
-OffloadScheduler::resolveJob(JobRecord &rec, soc::HostA9 &host)
+OffloadScheduler::resolveJob(JobRecord &rec)
 {
-    (void)host;
     if (completeHook)
         completeHook(rec);
 }
@@ -299,7 +298,7 @@ OffloadScheduler::reapTimeouts(soc::HostA9 &host)
         DPU_TRACE_INSTANT(sim::TraceCat::Soc, hostTid, "job.timeout",
                           now, "job", rec.id);
         it = queue.erase(it);
-        resolveJob(rec, host);
+        resolveJob(rec);
     }
 
     // In-flight jobs past their deadline: quarantine the group
@@ -356,7 +355,7 @@ OffloadScheduler::reapTimeouts(soc::HostA9 &host)
         ++stats.counter("timedOut");
         if (wedged)
             ++stats.counter("wedgeTimeouts");
-        resolveJob(rec, host);
+        resolveJob(rec);
     }
 }
 
@@ -455,14 +454,13 @@ OffloadScheduler::handleAck(soc::HostA9 &host, std::uint64_t msg)
     ++stats.counter("completed");
     if (!rec.valid)
         ++stats.counter("validationFailed");
-    latenciesUs.push_back(rec.latencyUs());
     DPU_TRACE_SPAN_END(sim::TraceCat::Soc, groupTid + g, "job.run",
                        grp.runSpan, now);
     grp.state = GroupState::Free;
     grp.job = {};
     grp.req = {};
     grp.slot = {};
-    resolveJob(rec, host);
+    resolveJob(rec);
 }
 
 sim::Tick
@@ -519,11 +517,11 @@ OffloadScheduler::hostMain(soc::HostA9 &host)
     // their fibers stay parked without keeping the queue alive.
     for (unsigned id = 0; id < p.nCores; ++id)
         host.sendToCore(id, shutdownMsg);
-    finalize(host);
+    finalize();
 }
 
 void
-OffloadScheduler::finalize(soc::HostA9 &host)
+OffloadScheduler::finalize()
 {
     ServingSummary s;
     s.submitted = stats.counter("submitted");
@@ -544,36 +542,29 @@ OffloadScheduler::finalize(soc::HostA9 &host)
     // Availability: fraction of group-ticks not spent quarantined.
     // Closed quarantines accumulated downtime at reclaim; groups
     // still quarantined now have been down since their reap.
+    const sim::Tick now = a9.now();
     sim::Tick down = quarantineDownTicks;
     for (const Group &grp : groups)
         if (grp.state == GroupState::Quarantined)
-            down += host.now() - grp.quarantinedAt;
-    if (host.now() > 0 && !groups.empty())
+            down += now - grp.quarantinedAt;
+    if (now > 0 && !groups.empty())
         s.availability =
-            1.0 - double(down) /
-                      (double(host.now()) * double(groups.size()));
+            1.0 - double(down) / (double(now) * double(groups.size()));
     stats.scalar("availability") = s.availability;
 
-    std::sort(latenciesUs.begin(), latenciesUs.end());
-    s.p50Us = percentileOf(latenciesUs, 0.50);
-    s.p95Us = percentileOf(latenciesUs, 0.95);
-    s.p99Us = percentileOf(latenciesUs, 0.99);
-    if (!latenciesUs.empty()) {
-        double sum = 0;
-        for (double l : latenciesUs)
-            sum += l;
-        s.meanUs = sum / double(latenciesUs.size());
-        s.maxUs = latenciesUs.back();
-    }
-
-    sim::Tick first = noTick, last = 0;
-    for (const JobRecord &rec : records) {
-        first = std::min(first, rec.enqueuedAt);
-        last = std::max(last, rec.finishedAt);
-    }
-    if (s.completed > 0 && last > first)
-        s.throughputJobsPerSec =
-            double(s.completed) / (double(last - first) * 1e-12);
+    // Latency and throughput: a one-part fold over this chip's
+    // records, the same code that folds boards and racks. The
+    // availability above stays this chip's own (a one-part fold
+    // would recompute it as a*s/s).
+    SummaryFold fold;
+    fold.add(s, records);
+    const ServingSummary f = fold.finish();
+    s.p50Us = f.p50Us;
+    s.p95Us = f.p95Us;
+    s.p99Us = f.p99Us;
+    s.meanUs = f.meanUs;
+    s.maxUs = f.maxUs;
+    s.throughputJobsPerSec = f.throughputJobsPerSec;
 
     stats.scalar("p50LatencyUs") = s.p50Us;
     stats.scalar("p95LatencyUs") = s.p95Us;
@@ -582,7 +573,6 @@ OffloadScheduler::finalize(soc::HostA9 &host)
     stats.scalar("maxLatencyUs") = s.maxUs;
     stats.scalar("throughputJobsPerSec") = s.throughputJobsPerSec;
     finalSummary = s;
-    (void)host;
 }
 
 } // namespace dpu::host

@@ -281,9 +281,9 @@ class OffloadScheduler
     void reapTimeouts(soc::HostA9 &host);
     void dispatchReady(soc::HostA9 &host);
     void handleAck(soc::HostA9 &host, std::uint64_t msg);
-    void resolveJob(JobRecord &rec, soc::HostA9 &host);
+    void resolveJob(JobRecord &rec);
     sim::Tick nextWake() const;
-    void finalize(soc::HostA9 &host);
+    void finalize();
     apps::ServingJob buildJob(const JobRequest &req, unsigned group,
                               PrepSlot *slot);
 
@@ -308,7 +308,6 @@ class OffloadScheduler
     std::deque<Pending> queue;
     std::vector<Group> groups;
     std::vector<JobRecord> records;
-    std::vector<double> latenciesUs; ///< completed jobs only
     std::function<void(const JobRecord &)> completeHook;
     ServingSummary finalSummary;
     std::uint64_t nextJobId = 1;

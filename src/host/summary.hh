@@ -3,7 +3,9 @@
  * Shared serving-summary aggregation.
  *
  * BoardScheduler and rack::RackScheduler both fold N per-shard
- * ServingSummary parts into one aggregate, and both used to carry
+ * ServingSummary parts into one aggregate, and OffloadScheduler
+ * folds its own records as a one-part fold for its latency and
+ * throughput figures. The two tiers used to carry
  * private near-copies of the same loop — with the same two
  * accounting bugs: availability was an unweighted mean over shards
  * (an idle replica's perfect 1.0 diluted a struggling hot shard's

@@ -38,17 +38,15 @@ namespace dpu::rack {
 /** Rack network timing: a 4 GB/s ingress pipe per board behind
  *  ~5 us of switch + NIC + host software stack, 256-byte minimum
  *  (header + RDMA setup). */
-struct NetParams : sim::WireParams
-{
-    NetParams() : sim::WireParams{sim::Tick(5'000'000), 4.0, 256} {}
-};
+inline constexpr sim::WireParams netTiming{sim::Tick(5'000'000), 4.0,
+                                           256};
 
 /** N per-board ingress channels behind one front-end. */
 class RackNet : public sim::Wire
 {
   public:
-    RackNet(unsigned n_boards, const NetParams &params)
-        : sim::Wire(n_boards, params, "racknet",
+    explicit RackNet(unsigned n_boards)
+        : sim::Wire(n_boards, netTiming, "racknet",
                     sim::FaultSite::RackNetDelay,
                     sim::FaultSite::RackNetDrop, [](unsigned b) {
                         return "board" + std::to_string(b);

@@ -5,7 +5,7 @@
 namespace dpu::rack {
 
 Rack::Rack(const RackParams &params)
-    : p(params), network(p.nBoards, p.net)
+    : p(params), network(p.nBoards)
 {
     boards.reserve(p.nBoards);
     for (unsigned b = 0; b < p.nBoards; ++b)

@@ -49,10 +49,8 @@ namespace dpu::rack {
 struct RackParams
 {
     unsigned nBoards = 2;
-    /** Per-board shape (chips, links, epoch-runner threads). */
+    /** Per-board shape (chips, epoch-runner threads, balancer). */
     board::BoardParams board{};
-    /** Inter-board network timing. */
-    NetParams net{};
 };
 
 /** N boards joined by a host-phase rack network. */

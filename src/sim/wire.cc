@@ -6,21 +6,6 @@
 
 namespace dpu::sim {
 
-std::string
-WireParams::validate(const std::string &wire) const
-{
-    if (gbPerSec <= 0)
-        return "the " + wire + " bandwidth must be positive "
-               "(gbPerSec = " + std::to_string(gbPerSec) + ")";
-    if (hopLatency == 0)
-        return "the " + wire + " hop latency must be positive "
-               "(hopLatency = 0)";
-    if (flitBytes == 0)
-        return "the " + wire + " flit size must be positive "
-               "(flitBytes = 0)";
-    return "";
-}
-
 Wire::Wire(unsigned n_channels, const WireParams &params,
            std::string stat_group, FaultSite delay_site,
            FaultSite drop_site, ChannelName name)
@@ -29,8 +14,9 @@ Wire::Wire(unsigned n_channels, const WireParams &params,
       stats(std::move(stat_group))
 {
     sim_assert(n_channels >= 1, "a wire needs at least one channel");
-    const std::string err = p.validate(stats.name());
-    sim_assert(err.empty(), "%s", err.c_str());
+    sim_assert(p.hopLatency > 0 && p.gbPerSec > 0 && p.flitBytes > 0,
+               "%s: hop latency, bandwidth and flit size must all be "
+               "positive", stats.name().c_str());
     stats.addFlushHook([this] { foldStats(); });
 }
 

@@ -48,7 +48,8 @@
 
 namespace dpu::sim {
 
-/** Channel timing knobs; each tier supplies its own defaults. */
+/** Channel timing; each tier names its one constant
+ *  (board::linkTiming, rack::netTiming). */
 struct WireParams
 {
     /** Propagation + endpoint turnaround per message. */
@@ -57,10 +58,6 @@ struct WireParams
     double gbPerSec = 0;
     /** Minimum wire occupancy per message (header flit). */
     std::uint32_t flitBytes = 0;
-
-    /** "" when usable; else a sentence naming the offending field
-     *  of the @p wire ("board link", "rack network"). */
-    std::string validate(const std::string &wire) const;
 };
 
 /** What a message carries (xfer_stat-style breakdown). */
@@ -96,6 +93,7 @@ class Wire
         }
     };
 
+    /** Fatal unless every field of @p params is positive. */
     Wire(unsigned n_channels, const WireParams &params,
          std::string stat_group, FaultSite delay_site,
          FaultSite drop_site, ChannelName name);

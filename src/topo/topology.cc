@@ -52,20 +52,6 @@ ClusterTopology::chip(const soc::SocParams &p)
 }
 
 ClusterTopology &
-ClusterTopology::link(const board::LinkParams &p)
-{
-    spec_.board.link = p;
-    return *this;
-}
-
-ClusterTopology &
-ClusterTopology::network(const rack::NetParams &p)
-{
-    spec_.net = p;
-    return *this;
-}
-
-ClusterTopology &
 ClusterTopology::placement(const rack::PlacementParams &p)
 {
     place_ = p;
@@ -108,11 +94,7 @@ ClusterTopology::validate() const
 
     if (tier_ == Tier::Soc)
         return "";
-    std::string err = b.link.validate("board link");
-    if (err.empty())
-        err = b.balance.validate();
-    if (err.empty() && tier_ == Tier::Rack)
-        err = spec_.net.validate("rack network");
+    std::string err = b.balance.validate();
     if (err.empty() && tier_ == Tier::Rack)
         err = place_.validate(spec_.nBoards);
     return err;

@@ -10,16 +10,15 @@
  *   auto soc  = topo::ClusterTopology::soc().chip(soc::dpu16nm());
  *   auto brd  = topo::ClusterTopology::board(4).threads(4);
  *   auto rack = topo::ClusterTopology::rack(8, 2)
- *                   .placement(place)
- *                   .network(myNet);
+ *                   .placement(place);
  *
  *   std::string err = rack.validate();   // "" when buildable
  *   auto r = rack.buildRack();           // fatal with err otherwise
  *
  * Every shape error is reported as a sentence naming the offending
  * field and tier. Each parameter struct checks its own fields
- * (LinkParams, NetParams, board::BalanceParams, HealthParams,
- * PlacementParams::validate); validate() adds the tier-shape rules
+ * (board::BalanceParams, HealthParams, PlacementParams::validate);
+ * validate() adds the tier-shape rules
  * and calls them, and the components that consume a struct
  * (BoardBalancer, RackScheduler, ...) call the same validator. The
  * Board and Rack constructors are private to this builder.
@@ -73,12 +72,6 @@ class ClusterTopology
 
     /** Chip configuration (default soc::dpu40nm()). */
     ClusterTopology &chip(const soc::SocParams &p);
-
-    /** Intra-board link fabric timing. */
-    ClusterTopology &link(const board::LinkParams &p);
-
-    /** Inter-board rack network timing. */
-    ClusterTopology &network(const rack::NetParams &p);
 
     /** Rack placement / admission / balance / health knobs; hand
      *  the same struct to the rack::RackScheduler. */

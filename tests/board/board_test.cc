@@ -96,7 +96,7 @@ TEST(LinkFabric, RpcDeliveryAndChannelSerialization)
     EXPECT_EQ(got[0].payload, 0xabcdull);
     EXPECT_EQ(got[1].payload, 0xef01ull);
     // Both burned at least the hop latency...
-    EXPECT_GE(got[0].at, b->params().link.hopLatency);
+    EXPECT_GE(got[0].at, board::linkTiming.hopLatency);
     // ...and the shared (0,1) channel serialized them: the second
     // message's wire time starts after the first finishes.
     EXPECT_GT(got[1].at, got[0].at);

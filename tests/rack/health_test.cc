@@ -205,7 +205,7 @@ expectFullAttribution(const rack::RackSummary &sum)
 TEST(HealthDetector, MissHysteresisWalksHealthySuspectDown)
 {
     sim::faultPlane().reset();
-    rack::RackNet net(4, rack::NetParams{});
+    rack::RackNet net(4);
     rack::HealthMonitor mon(net, 4, quietMonitor());
     ASSERT_TRUE(mon.monitoring());
 
@@ -241,7 +241,7 @@ TEST(HealthDetector, MissHysteresisWalksHealthySuspectDown)
 TEST(HealthDetector, AcksClearSuspectsAndWalkDownThroughProbation)
 {
     sim::faultPlane().reset();
-    rack::RackNet net(4, rack::NetParams{});
+    rack::RackNet net(4);
     rack::HealthMonitor mon(net, 4, quietMonitor());
 
     // Two misses suspect the board; one ack absolves it — misses
@@ -284,7 +284,7 @@ TEST(HealthDetector, ObservationsResolveInTickOrderNotPushOrder)
     sim::faultPlane().reset();
     rack::HealthParams hp = quietMonitor();
     hp.downAfter = 3;
-    rack::RackNet net(4, rack::NetParams{});
+    rack::RackNet net(4);
     rack::HealthMonitor mon(net, 4, hp);
 
     mon.observeMiss(0, 10);

@@ -55,13 +55,9 @@ TEST(ClusterTopology, BuildsABoardCarryingTheSpec)
 TEST(ClusterTopology, BuildsARackCarryingTheSpec)
 {
     sim::faultPlane().reset();
-    rack::NetParams np;
-    np.hopLatency = sim::Tick(2'000'000);
     rack::PlacementParams place;
     place.replication = 3;
-    ClusterTopology t = ClusterTopology::rack(4, 2)
-                            .network(np)
-                            .placement(place);
+    ClusterTopology t = ClusterTopology::rack(4, 2).placement(place);
     EXPECT_EQ(t.validate(), "");
     EXPECT_EQ(t.nBoards(), 4u);
     EXPECT_EQ(t.totalDpus(), 8u);
@@ -72,9 +68,6 @@ TEST(ClusterTopology, BuildsARackCarryingTheSpec)
     EXPECT_EQ(r->nDpus(), 8u);
     EXPECT_EQ(r->params().nBoards, 4u);
     EXPECT_EQ(r->params().board.nDpus, 2u);
-    EXPECT_EQ(r->params().net.hopLatency, sim::Tick(2'000'000));
-    EXPECT_EQ(r->net().params().hopLatency,
-              sim::Tick(2'000'000));
 }
 
 TEST(ClusterTopologyValidation, NamesTheOffendingField)
@@ -88,22 +81,6 @@ TEST(ClusterTopologyValidation, NamesTheOffendingField)
         std::string::npos);
     EXPECT_NE(ClusterTopology::board(2).threads(0).validate().find(
                   "threads"),
-              std::string::npos);
-
-    board::LinkParams badLink;
-    badLink.gbPerSec = 0;
-    EXPECT_NE(ClusterTopology::board(2)
-                  .link(badLink)
-                  .validate()
-                  .find("gbPerSec"),
-              std::string::npos);
-
-    rack::NetParams badNet;
-    badNet.flitBytes = 0;
-    EXPECT_NE(ClusterTopology::rack(2, 2)
-                  .network(badNet)
-                  .validate()
-                  .find("flit"),
               std::string::npos);
 
     rack::PlacementParams rep4;

@@ -214,15 +214,20 @@ TEST(Wire, QuietWireRegistersNoCells)
         << "utilization describes carried workload only";
 }
 
-TEST(WireParams, ValidateNamesTheWireAndTheField)
+TEST(WireDeathTest, EveryTimingFieldMustBePositive)
 {
-    WireParams p;
-    p.hopLatency = 1;
-    p.gbPerSec = 0;
-    p.flitBytes = 1;
-    const std::string err = p.validate("test wire");
-    EXPECT_NE(err.find("test wire"), std::string::npos);
-    EXPECT_NE(err.find("gbPerSec"), std::string::npos);
-    p.gbPerSec = 1;
-    EXPECT_EQ(p.validate("test wire"), "");
+    const WireParams good{1, 1.0, 1};
+    auto build = [](const WireParams &p) {
+        Wire w(1, p, "deadwire", FaultSite::LinkDelay,
+               FaultSite::LinkDrop, chanName);
+    };
+    WireParams noBandwidth = good;
+    noBandwidth.gbPerSec = 0;
+    EXPECT_DEATH(build(noBandwidth), "deadwire: .* must all be positive");
+    WireParams noHop = good;
+    noHop.hopLatency = 0;
+    EXPECT_DEATH(build(noHop), "deadwire: .* must all be positive");
+    WireParams noFlit = good;
+    noFlit.flitBytes = 0;
+    EXPECT_DEATH(build(noFlit), "deadwire: .* must all be positive");
 }
